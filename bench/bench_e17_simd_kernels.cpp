@@ -1,7 +1,7 @@
 // E17 - wide-lane SIMD kernel throughput (infrastructure experiment).
 //
 // Not a paper claim: this bench quantifies what the compiled kernel
-// engine (src/sim/compiled_net.hpp + src/sim/simd.hpp) buys over the
+// engine (src/sim/compiled_net.hpp + src/sim/isa.hpp) buys over the
 // seed's scalar substrate, on the hot path every certification
 // experiment runs: exhaustive 0-1 sweeps. Three paths are compared at
 // each width:
@@ -9,8 +9,9 @@
 //   scalar   seed-style sweep: per-bit input construction, 64 vectors
 //            per word, the structure-walking reference evaluator
 //            (core/bitparallel.hpp)
-//   wide     compile the network, then sweep 256 vectors per step -
-//            compile time INCLUDED on every sweep
+//   wide     compile the network, then sweep 256 vectors per step on
+//            the shipped generic kernel (simd::kernel_for(Isa::Generic))
+//            - compile time INCLUDED on every sweep
 //   reuse    same kernel, one compile amortized across all sweeps (how
 //            zero_one_check and the service engine actually run)
 //
@@ -28,7 +29,7 @@
 #include "obs/obs.hpp"
 #include "sim/bitparallel.hpp"
 #include "sim/compiled_net.hpp"
-#include "sim/simd.hpp"
+#include "sim/isa.hpp"
 
 namespace shufflebound {
 namespace {
@@ -60,20 +61,19 @@ void scalar_sweep(const ComparatorNetwork& net, std::uint64_t len) {
     throw std::logic_error("bench_e17: scalar sweep found unsorted output");
 }
 
-/// Compiled sweep over vectors [0, len), one SIMD lane per step.
+/// The shipped 256-bit kernel the wide/reuse columns time: the generic
+/// dispatch path, available on every build.
+const simd::KernelDispatch& generic_kernel() {
+  return simd::kernel_for(simd::Isa::Generic);
+}
+
+/// Compiled sweep over vectors [0, len), block by block through the
+/// generic path's sweep_block.
 void compiled_sweep(const CompiledNetwork& net, std::uint64_t len) {
-  const wire_t n = net.width();
-  const std::span<const wire_t> order = net.output_order();
-  std::vector<simd::Lane> words(n);
-  simd::Lane bad_any = simd::lane_zero();
-  for (std::uint64_t base = 0; base < len; base += simd::kLaneBits) {
-    for (wire_t w = 0; w < n; ++w) words[w] = simd::pattern_lane(w, base);
-    net.evaluate_packed(words.data());
-    for (wire_t p = 0; p + 1 < n; ++p)
-      bad_any |= words[order[p]] & ~words[order[p + 1]];
-  }
-  if (simd::lane_any(bad_any))
-    throw std::logic_error("bench_e17: compiled sweep found unsorted output");
+  const simd::KernelDispatch& kernel = generic_kernel();
+  for (std::uint64_t base = 0; base < len; base += kernel.lane_bits)
+    if (kernel.sweep_block(net, base, len) != UINT64_MAX)
+      throw std::logic_error("bench_e17: compiled sweep found unsorted output");
 }
 
 double mvps(std::uint64_t vectors, double seconds) {
@@ -85,9 +85,8 @@ void print_table() {
       "E17: wide-lane SIMD kernels",
       "compiling networks into branch-free op tables and sweeping 256 "
       "test vectors per step multiplies 0-1 certification throughput");
-  std::printf("lane width: %zu bits (%s build)\n\n",
-              simd::kLaneBits,
-              simd::kLaneWords > 1 ? "wide" : "forced-scalar");
+  std::printf("wide/reuse kernel: %s dispatch path, %zu-bit lanes\n\n",
+              generic_kernel().name, generic_kernel().lane_bits);
 
   // ------------------------------------------------- kernel throughput --
   // Budget vectors per cell; widths below lg(budget) repeat full sweeps,

@@ -239,6 +239,21 @@ class RelationEngine {
   std::vector<std::size_t> op_of_slot_;
 };
 
+// What the final relation proves about a network whose output position
+// p is held by slot output_order[p]. Fills `relabel_ranks` (rank of the
+// value at each output position) for CertifiedUpToRelabel.
+AnalyzeVerdict judge_outputs(const OrderRelation& relation,
+                             std::span<const wire_t> output_order,
+                             std::vector<wire_t>& relabel_ranks) {
+  if (relation.proves_chain(output_order)) return AnalyzeVerdict::Certified;
+  const auto ranks = relation.total_order_ranks();
+  if (!ranks) return AnalyzeVerdict::Inconclusive;
+  relabel_ranks.resize(output_order.size());
+  for (std::size_t p = 0; p < output_order.size(); ++p)
+    relabel_ranks[p] = (*ranks)[output_order[p]];
+  return AnalyzeVerdict::CertifiedUpToRelabel;
+}
+
 }  // namespace
 
 const char* analyze_verdict_name(AnalyzeVerdict verdict) noexcept {
@@ -330,14 +345,8 @@ AnalyzeReport analyze(const LevelProgram& prog, const AnalyzeOptions& options) {
 
   if (prog.output_order.size() != prog.width)
     throw std::invalid_argument("analyze: output_order size mismatch");
-  if (relation.proves_chain(prog.output_order)) {
-    report.verdict = AnalyzeVerdict::Certified;
-  } else if (auto ranks = relation.total_order_ranks()) {
-    report.verdict = AnalyzeVerdict::CertifiedUpToRelabel;
-    report.relabel_ranks.resize(prog.width);
-    for (wire_t p = 0; p < prog.width; ++p)
-      report.relabel_ranks[p] = (*ranks)[prog.output_order[p]];
-  }
+  report.verdict =
+      judge_outputs(relation, prog.output_order, report.relabel_ranks);
 
   report.relation_pairs = relation.pair_count();
   report.relation_fingerprint = relation.fingerprint();
@@ -411,6 +420,11 @@ EliminationResult eliminate_redundant(const ComparatorNetwork& net) {
     }
     result.net.add_level(std::move(rebuilt));
   }
+  // slot_of now maps each output wire to the slot of the original
+  // network's final relation that holds its value, which the rewrite
+  // leaves pointwise unchanged.
+  result.verdict =
+      judge_outputs(engine.relation(), slot_of, result.relabel_ranks);
   result.exchanged = std::size_t(std::count_if(
       result.findings.begin(), result.findings.end(),
       [](const OpFinding& f) { return f.fate == OpFate::AlwaysExchange; }));

@@ -136,11 +136,20 @@ AnalyzeReport analyze(const ComparatorNetwork& net,
 /// comparison-trace-equivalent: removed comparators no longer collide
 /// values (Definition 3.6), so witness replay and collision analyses
 /// must keep using the original network.
+///
+/// The pass steps the same engine analyze() does over the original
+/// network, so it also carries analyze()'s verdict, which certify uses
+/// without a second analyzer pass.
 struct EliminationResult {
   ComparatorNetwork net;
   std::size_t removed = 0;    // comparators dropped (Redundant)
   std::size_t exchanged = 0;  // comparators rewritten to Exchange
   std::vector<OpFinding> findings;
+  /// What the final relation proves about the network's outputs, and
+  /// for CertifiedUpToRelabel the rank at each output position - as
+  /// AnalyzeReport::verdict / relabel_ranks.
+  AnalyzeVerdict verdict = AnalyzeVerdict::Inconclusive;
+  std::vector<wire_t> relabel_ranks;
 };
 
 EliminationResult eliminate_redundant(const ComparatorNetwork& net);

@@ -100,6 +100,14 @@ std::string to_text(const ComparatorNetwork& net) {
   return out.str();
 }
 
+void check_text_width(const char* format, wire_t width) {
+  if (width > kMaxTextWidth)
+    throw std::invalid_argument(
+        std::string(format) + " network text: width " +
+        std::to_string(width) + " exceeds kMaxTextWidth = " +
+        std::to_string(kMaxTextWidth));
+}
+
 std::string to_text(const RegisterNetwork& net) {
   std::ostringstream out;
   out << "register " << net.width() << "\n";
@@ -132,6 +140,7 @@ ComparatorNetwork circuit_from_text(const std::string& text) {
   head >> keyword >> width;
   if (keyword != "circuit" || head.fail())
     fail(lines[idx].first, "expected 'circuit <width>'");
+  check_text_width("circuit", width);
   ComparatorNetwork net(width);
   ++idx;
   for (; idx < lines.size(); ++idx) {
@@ -179,6 +188,7 @@ RegisterNetwork register_from_text(const std::string& text) {
   head >> keyword >> width;
   if (keyword != "register" || head.fail())
     fail(lines[idx].first, "expected 'register <width>'");
+  check_text_width("register", width);
   RegisterNetwork net(width);
   ++idx;
   for (; idx < lines.size(); ++idx) {

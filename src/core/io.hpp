@@ -24,6 +24,17 @@
 
 namespace shufflebound {
 
+/// Widest network any text parser accepts (circuit, register and, in
+/// networks/rdn_io.hpp, iterated). Checked right after the header line,
+/// before any width-sized allocation, so a hostile header is rejected
+/// with std::invalid_argument instead of exhausting memory. Far above
+/// every width the engines and experiments use (the largest is 2^16).
+inline constexpr wire_t kMaxTextWidth = wire_t{1} << 20;
+
+/// Throws std::invalid_argument naming kMaxTextWidth when `width`
+/// exceeds it; `format` ("circuit", ...) leads the message.
+void check_text_width(const char* format, wire_t width);
+
 std::string to_text(const ComparatorNetwork& net);
 std::string to_text(const RegisterNetwork& net);
 

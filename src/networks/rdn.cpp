@@ -91,8 +91,12 @@ std::optional<std::string> RdnTree::validate(const ComparatorNetwork& net) const
   const wire_t n = width();
   std::vector<std::vector<int>> membership(d + 1, std::vector<int>(n, -1));
   for (std::size_t id = 0; id < nodes_.size(); ++id)
-    for (const wire_t w : nodes_[id].wires)
+    for (const wire_t w : nodes_[id].wires) {
+      // from_order takes any leaf order; a parsed one may name a wire
+      // past the width.
+      if (w >= n) return "tree wire " + std::to_string(w) + " out of range";
       membership[nodes_[id].level][w] = static_cast<int>(id);
+    }
   for (std::uint32_t t = 0; t <= d; ++t)
     for (wire_t w = 0; w < n; ++w)
       if (membership[t][w] < 0)

@@ -77,6 +77,7 @@ IteratedRdn iterated_from_text(const std::string& text) {
   head >> keyword >> width;
   if (keyword != "iterated" || head.fail() || width == 0)
     fail("expected 'iterated <width>'");
+  check_text_width("iterated", width);
   IteratedRdn net(width);
 
   for (auto row = next_line(); row; row = next_line()) {

@@ -148,11 +148,15 @@ ZeroOneReport from_frontier(const FrontierReport& frontier, wire_t n) {
 /// non-sorting and the caller falls through to an enumerative engine.
 /// No test vector is ever evaluated on this path (the obs counters
 /// below, and the untouched kernel.vectors_evaluated, are the
-/// observable proof of that).
-std::optional<ZeroOneReport> analyze_zero_one(const CompiledNetwork& net) {
-  SB_OBS_SPAN("kernel", "analyze_certify");
-  const AnalyzeReport report = analyze(level_program_from_compiled(net));
-  if (report.verdict != AnalyzeVerdict::Certified) {
+/// observable proof of that). `known` is a verdict the caller already
+/// proved for `net`; only without one does this run an analyzer pass.
+std::optional<ZeroOneReport> analyze_zero_one(
+    const CompiledNetwork& net, std::optional<AnalyzeVerdict> known) {
+  if (!known) {
+    SB_OBS_SPAN("kernel", "analyze_certify");
+    known = analyze(level_program_from_compiled(net)).verdict;
+  }
+  if (*known != AnalyzeVerdict::Certified) {
     SB_OBS_COUNT("kernel.analyze_inconclusive", 1);
     return std::nullopt;
   }
@@ -164,28 +168,10 @@ std::optional<ZeroOneReport> analyze_zero_one(const CompiledNetwork& net) {
   return out;
 }
 
-}  // namespace
-
-const char* certify_engine_name(CertifyEngine engine) noexcept {
-  switch (engine) {
-    case CertifyEngine::Frontier: return "frontier";
-    case CertifyEngine::Sweep: return "sweep";
-    case CertifyEngine::Analyze: return "analyze";
-    case CertifyEngine::Auto: break;
-  }
-  return "auto";
-}
-
-std::optional<CertifyEngine> parse_certify_engine(std::string_view name) {
-  if (name == "auto") return CertifyEngine::Auto;
-  if (name == "frontier") return CertifyEngine::Frontier;
-  if (name == "sweep") return CertifyEngine::Sweep;
-  if (name == "analyze") return CertifyEngine::Analyze;
-  return std::nullopt;
-}
-
-ZeroOneReport zero_one_check(const CompiledNetwork& net,
-                             const CertifyOptions& opts) {
+/// The engine dispatch behind every zero_one_check overload; `known` as
+/// in analyze_zero_one.
+ZeroOneReport certify(const CompiledNetwork& net, const CertifyOptions& opts,
+                      std::optional<AnalyzeVerdict> known) {
   const wire_t n = net.width();
   FrontierOptions frontier_opts;
   frontier_opts.budget = opts.frontier_budget;
@@ -204,7 +190,7 @@ ZeroOneReport zero_one_check(const CompiledNetwork& net,
       return from_frontier(frontier, n);
     }
     case CertifyEngine::Analyze: {
-      if (const auto report = analyze_zero_one(net)) return *report;
+      if (const auto report = analyze_zero_one(net, known)) return *report;
       throw std::runtime_error(
           "zero_one_check: the analyze engine is inconclusive at n=" +
           std::to_string(n) +
@@ -221,7 +207,7 @@ ZeroOneReport zero_one_check(const CompiledNetwork& net,
   // smallest sweep - and when it certifies, zero vectors are evaluated
   // regardless of width.
   if (opts.analyze_first) {
-    if (const auto report = analyze_zero_one(net)) return *report;
+    if (const auto report = analyze_zero_one(net, known)) return *report;
   }
   if (n <= kAutoSweepPreferredWidth)
     return sweep_zero_one(net, opts.pool, opts.progress);
@@ -254,6 +240,31 @@ ZeroOneReport zero_one_check(const CompiledNetwork& net,
       ") and the analyze engine found no static proof");
 }
 
+}  // namespace
+
+const char* certify_engine_name(CertifyEngine engine) noexcept {
+  switch (engine) {
+    case CertifyEngine::Frontier: return "frontier";
+    case CertifyEngine::Sweep: return "sweep";
+    case CertifyEngine::Analyze: return "analyze";
+    case CertifyEngine::Auto: break;
+  }
+  return "auto";
+}
+
+std::optional<CertifyEngine> parse_certify_engine(std::string_view name) {
+  if (name == "auto") return CertifyEngine::Auto;
+  if (name == "frontier") return CertifyEngine::Frontier;
+  if (name == "sweep") return CertifyEngine::Sweep;
+  if (name == "analyze") return CertifyEngine::Analyze;
+  return std::nullopt;
+}
+
+ZeroOneReport zero_one_check(const CompiledNetwork& net,
+                             const CertifyOptions& opts) {
+  return certify(net, opts, std::nullopt);
+}
+
 ZeroOneReport zero_one_check(const ComparatorNetwork& net,
                              const CertifyOptions& opts) {
   // Redundancy elimination before compilation: pointwise output-
@@ -261,19 +272,29 @@ ZeroOneReport zero_one_check(const ComparatorNetwork& net,
   // and the minimal failing vector are unchanged while the compiled op
   // table shrinks. Both steps live inside the compile closure so an
   // arena hit skips them entirely.
-  const auto compile_reduced = [&net]() -> CompiledNetwork {
-    EliminationResult reduced = eliminate_redundant(net);
+  std::optional<AnalyzeVerdict> verdict;
+  const auto compile_reduced = [&net, &verdict]() -> CompiledNetwork {
+    EliminationResult reduced = [&net] {
+      SB_OBS_SPAN("kernel", "analyze_certify");
+      return eliminate_redundant(net);
+    }();
+    verdict = reduced.verdict;
     if (reduced.removed == 0 && reduced.exchanged == 0) return compile(net);
     SB_OBS_COUNT("kernel.redundant_ops_removed", reduced.removed);
     SB_OBS_COUNT("kernel.always_exchange_rewrites", reduced.exchanged);
     return compile(reduced.net);
   };
+  // One analyzer pass per call: on an arena miss (or without an arena)
+  // the elimination pass above proves the verdict and certify reuses
+  // it; on an arena hit the closure is skipped and certify runs its own
+  // single analyze pass on the cached table.
   if (opts.arena != nullptr && opts.arena_key) {
     const std::shared_ptr<const CompiledNetwork> view =
         opts.arena->get_or_compile(*opts.arena_key, compile_reduced);
-    return zero_one_check(*view, opts);
+    return certify(*view, opts, verdict);
   }
-  return zero_one_check(compile_reduced(), opts);
+  const CompiledNetwork compiled = compile_reduced();
+  return certify(compiled, opts, verdict);
 }
 
 ZeroOneReport zero_one_check(const RegisterNetwork& net,

@@ -2,8 +2,9 @@
 //
 // By the 0-1 principle, a comparator circuit sorts every input iff it
 // sorts every vector in {0,1}^n. On 0/1 values a comparator is AND/OR
-// on packed words, so one kernel pass evaluates simd::kLaneBits test
-// vectors at once (256 in the wide build, 64 in the scalar fallback).
+// on packed words, so one kernel pass evaluates a whole block of test
+// vectors at once: the lane width of the runtime-dispatched kernel
+// (sim/isa.hpp), 64 to 512 bits.
 // The network is compiled once (sim/compiled_net.hpp) and the op table
 // is shared read-only across all vector blocks and worker threads.
 //

@@ -33,9 +33,10 @@
 // source network; evaluation touches no global state, so all engine
 // results built on it remain a function of (network, inputs) alone,
 // independent of lane width, thread count, and build flags. The
-// differential suite in tests/test_simd.cpp holds the scalar reference
-// kernel, the scalar compiled path, and the wide compiled path to
-// bit-for-bit agreement.
+// compiled table is replayed by the dispatched sweep kernels
+// (sim/isa.hpp), the integer apply() below, and the frontier's level
+// walk; tests/test_simd.cpp holds every dispatched path to bit-for-bit
+// agreement with the structure-walking reference (core/bitparallel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -82,24 +83,6 @@ class CompiledNetwork {
   }
   std::span<const std::uint32_t> level_offsets() const noexcept {
     return section(2 * std::size_t{op_count_}, level_entry_count_);
-  }
-
-  /// Packed 0/1 kernel: words[slot] holds one packed bit per test
-  /// vector for the value starting in slot (= wire/register) `slot`.
-  /// W is simd::Lane or std::uint64_t - anything with &, |, assignment.
-  /// `words` must hold width() entries; outputs stay slot-indexed (read
-  /// them through output_order()).
-  template <typename W>
-  void evaluate_packed(W* words) const {
-    const std::uint32_t* mins = table_.data();
-    const std::uint32_t* maxs = table_.data() + op_count_;
-    const std::size_t ops = op_count_;
-    for (std::size_t i = 0; i < ops; ++i) {
-      const W a = words[mins[i]];
-      const W b = words[maxs[i]];
-      words[mins[i]] = a & b;
-      words[maxs[i]] = a | b;
-    }
   }
 
   /// Integer kernel: evaluates the network on `values` (values[i] =

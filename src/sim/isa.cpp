@@ -14,58 +14,44 @@ namespace shufflebound::simd {
 
 namespace {
 
-#if defined(SHUFFLEBOUND_SIMD_WIDE) && \
-    (defined(__x86_64__) || defined(__i386__))
+#if defined(__x86_64__) || defined(__i386__)
 #define SHUFFLEBOUND_ISA_X86 1
 #endif
-#if defined(SHUFFLEBOUND_SIMD_WIDE) && defined(__aarch64__)
+#if defined(__aarch64__)
 #define SHUFFLEBOUND_ISA_NEON 1
 #endif
 
-#ifdef SHUFFLEBOUND_SIMD_WIDE
+// GCC/Clang generic vector types: the compiler lowers each to whatever
+// the enclosing function's target has (one ymm op under avx2, SSE2 or
+// NEON pairs at baseline), so no intrinsic header is needed. Lane64 is
+// the one-word lane of the scalar path.
+typedef std::uint64_t Lane64 __attribute__((vector_size(8)));
 typedef std::uint64_t Lane128 __attribute__((vector_size(16)));
 typedef std::uint64_t Lane256 __attribute__((vector_size(32)));
 typedef std::uint64_t Lane512 __attribute__((vector_size(64)));
-#endif
-
-template <typename Lane, std::size_t Words>
-__attribute__((always_inline)) inline void set_word(Lane& lane, std::size_t j,
-                                                    std::uint64_t word) {
-  if constexpr (Words == 1)
-    lane = word;
-  else
-    lane[static_cast<int>(j)] = word;
-}
-
-template <typename Lane, std::size_t Words>
-__attribute__((always_inline)) inline std::uint64_t get_word(const Lane& lane,
-                                                             std::size_t j) {
-  if constexpr (Words == 1)
-    return lane;
-  else
-    return lane[static_cast<int>(j)];
-}
 
 /// The one sweep-block body every path shares, written against an
 /// abstract lane type and forced inline so each per-ISA wrapper below
 /// gets its own copy compiled under that wrapper's target attribute
 /// (vector ops lower to the wrapper's ISA, not the translation unit's
 /// baseline). The body is self-contained - the comparator loop is
-/// inlined rather than calling CompiledNetwork::evaluate_packed - so no
-/// vector code can escape into a shared default-target instantiation.
+/// written here, not shared - so no vector code can escape into a
+/// default-target instantiation. This is the library's one packed
+/// comparator loop over a compiled op table.
 ///
-/// Result contract (shared with the pre-dispatch kernel and pinned by
-/// tests/test_dispatch.cpp): the exact minimal failing vector in
-/// [base, min(base + Words*64, total)), or UINT64_MAX.
-template <typename Lane, std::size_t Words>
+/// Result contract (pinned by tests/test_dispatch.cpp and
+/// tests/test_simd.cpp): the exact minimal failing vector in
+/// [base, min(base + lane bits, total)), or UINT64_MAX.
+template <typename Lane>
 __attribute__((always_inline)) inline std::uint64_t sweep_block_impl(
     const CompiledNetwork& net, std::uint64_t base, std::uint64_t total) {
+  constexpr std::size_t kWords = sizeof(Lane) / sizeof(std::uint64_t);
   const wire_t n = net.width();
   Lane words[kSweepWidthCap + 2];
   for (wire_t w = 0; w < n; ++w) {
     Lane lane;
-    for (std::size_t j = 0; j < Words; ++j)
-      set_word<Lane, Words>(lane, j, pattern_word(w, base + 64 * j));
+    for (std::size_t j = 0; j < kWords; ++j)
+      lane[j] = pattern_word(w, base + 64 * j);
     words[w] = lane;
   }
   {
@@ -82,62 +68,56 @@ __attribute__((always_inline)) inline std::uint64_t sweep_block_impl(
   // Sorted ascending means 0s then 1s: no output position may carry 1
   // while a later position carries 0.
   const std::span<const wire_t> order = net.output_order();
-  Lane bad;
-  for (std::size_t j = 0; j < Words; ++j) set_word<Lane, Words>(bad, j, 0);
+  Lane bad = {};
   for (wire_t p = 0; p + 1 < n; ++p)
     bad = bad | (words[order[p]] & ~words[order[p + 1]]);
-  if (base + Words * 64 > total) {
+  if (base + kWords * 64 > total) {
     Lane valid;
-    for (std::size_t j = 0; j < Words; ++j)
-      set_word<Lane, Words>(valid, j, valid_mask(base + 64 * j, total));
+    for (std::size_t j = 0; j < kWords; ++j)
+      valid[j] = valid_mask(base + 64 * j, total);
     bad = bad & valid;
   }
-  for (std::size_t j = 0; j < Words; ++j) {
-    const std::uint64_t word = get_word<Lane, Words>(bad, j);
-    if (word != 0)
-      return base + 64 * j +
-             static_cast<std::uint64_t>(std::countr_zero(word));
+  for (std::size_t j = 0; j < kWords; ++j) {
+    if (bad[j] != 0)
+      return base + 64 * j + static_cast<std::uint64_t>(std::countr_zero(
+                                 static_cast<std::uint64_t>(bad[j])));
   }
   return UINT64_MAX;
 }
 
 std::uint64_t sweep_block_scalar(const CompiledNetwork& net,
                                  std::uint64_t base, std::uint64_t total) {
-  return sweep_block_impl<std::uint64_t, 1>(net, base, total);
+  return sweep_block_impl<Lane64>(net, base, total);
 }
 
-#ifdef SHUFFLEBOUND_SIMD_WIDE
 std::uint64_t sweep_block_generic(const CompiledNetwork& net,
                                   std::uint64_t base, std::uint64_t total) {
-  return sweep_block_impl<Lane256, 4>(net, base, total);
+  return sweep_block_impl<Lane256>(net, base, total);
 }
-#endif
 
 #ifdef SHUFFLEBOUND_ISA_NEON
 std::uint64_t sweep_block_neon(const CompiledNetwork& net, std::uint64_t base,
                                std::uint64_t total) {
-  return sweep_block_impl<Lane128, 2>(net, base, total);
+  return sweep_block_impl<Lane128>(net, base, total);
 }
 #endif
 
 #ifdef SHUFFLEBOUND_ISA_X86
 __attribute__((target("avx2"))) std::uint64_t sweep_block_avx2(
     const CompiledNetwork& net, std::uint64_t base, std::uint64_t total) {
-  return sweep_block_impl<Lane256, 4>(net, base, total);
+  return sweep_block_impl<Lane256>(net, base, total);
 }
 
 __attribute__((target("avx512f"))) std::uint64_t sweep_block_avx512(
     const CompiledNetwork& net, std::uint64_t base, std::uint64_t total) {
-  return sweep_block_impl<Lane512, 8>(net, base, total);
+  return sweep_block_impl<Lane512>(net, base, total);
 }
 #endif
 
 constexpr KernelDispatch kScalarKernel{Isa::Scalar, "scalar", 64,
                                        &sweep_block_scalar};
-#ifdef SHUFFLEBOUND_SIMD_WIDE
 constexpr KernelDispatch kGenericKernel{Isa::Generic, "generic", 256,
                                         &sweep_block_generic};
-#endif
 #ifdef SHUFFLEBOUND_ISA_NEON
 constexpr KernelDispatch kNeonKernel{Isa::Neon, "neon", 128,
                                      &sweep_block_neon};
@@ -149,36 +129,26 @@ constexpr KernelDispatch kAvx512Kernel{Isa::Avx512, "avx512", 512,
                                        &sweep_block_avx512};
 #endif
 
+/// nullptr for a path this build did not compile or this CPU lacks.
 const KernelDispatch* find_kernel(Isa isa) noexcept {
   switch (isa) {
     case Isa::Scalar:
       return &kScalarKernel;
     case Isa::Generic:
-#ifdef SHUFFLEBOUND_SIMD_WIDE
       return &kGenericKernel;
-#else
-      return nullptr;
-#endif
-    case Isa::Neon:
 #ifdef SHUFFLEBOUND_ISA_NEON
+    case Isa::Neon:
       return &kNeonKernel;
-#else
-      return nullptr;
 #endif
+#ifdef SHUFFLEBOUND_ISA_X86
     case Isa::Avx2:
-#ifdef SHUFFLEBOUND_ISA_X86
       return __builtin_cpu_supports("avx2") ? &kAvx2Kernel : nullptr;
-#else
-      return nullptr;
-#endif
     case Isa::Avx512:
-#ifdef SHUFFLEBOUND_ISA_X86
       return __builtin_cpu_supports("avx512f") ? &kAvx512Kernel : nullptr;
-#else
-      return nullptr;
 #endif
+    default:
+      return nullptr;
   }
-  return nullptr;
 }
 
 std::string available_names() {

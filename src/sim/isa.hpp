@@ -1,19 +1,16 @@
 // Runtime ISA dispatch for the wide-lane 0-1 sweep kernel.
 //
-// simd.hpp gives every caller ONE portable lane type chosen at compile
-// time: 256-bit GCC vector extensions lowered to whatever the baseline
-// target has, or a std::uint64_t fallback under SHUFFLEBOUND_FORCE_SCALAR.
-// That leaves throughput on the table when the binary is built for a
-// conservative baseline (x86-64 SSE2) but runs on an AVX2/AVX-512
-// machine. This header adds the missing layer: explicit per-ISA sweep
-// kernels compiled with function target attributes in one translation
-// unit (isa.cpp), detected ONCE at first use via CPUID (x86) / the
-// architecture baseline (aarch64 NEON), and selected through a small
-// dispatch table.
+// This is the library's one way to pick a kernel ISA. Explicit per-ISA
+// sweep kernels are compiled with function target attributes in one
+// translation unit (isa.cpp), so a binary built for a conservative
+// baseline (x86-64 SSE2) still runs AVX2/AVX-512 code on a machine that
+// has it. The CPU is probed ONCE at first use via CPUID (x86) / the
+// architecture baseline (aarch64 NEON), and the kernel is selected
+// through a small dispatch table.
 //
 //   path      lane width   requirement
 //   scalar    64 bits      always available (the reference path)
-//   generic   256 bits     wide build (simd::Lane, baseline codegen)
+//   generic   256 bits     always available (baseline codegen)
 //   neon      128 bits     aarch64 builds (NEON is baseline there)
 //   avx2      256 bits     x86 with AVX2
 //   avx512    512 bits     x86 with AVX-512F

@@ -1,84 +1,17 @@
-// Portable wide-lane SIMD abstraction for the bit-parallel kernels.
+// Packed 0-1 input construction for the bit-parallel kernels.
 //
-// A Lane packs kLaneBits 0/1 test vectors (one bit each per wire). The
-// wide build uses GCC/Clang generic vector extensions at 256 bits - the
-// compiler lowers them to whatever the target has (AVX2 ymm ops, SSE2
-// pairs, NEON pairs), so no -march flag or intrinsic header is needed
-// and the code stays portable. Defining SHUFFLEBOUND_FORCE_SCALAR (the
-// CMake option of the same name) or building with a compiler without
-// vector extensions selects a pure std::uint64_t fallback with the same
-// interface, so every caller is written once against Lane.
-//
-// The bitwise operators &, |, ~ work directly on Lane in both builds;
-// only construction, word extraction, and reduction need the helpers
-// below.
+// Vector index v (the integer whose bit w is the 0/1 value fed to wire
+// w) is enumerated in blocks; the word for wire w covering indices
+// [lo, lo + 64) has bit s = bit w of (lo + s). With lo a multiple of 64,
+// bits below 6 come from s alone (a fixed pattern per wire) and bits
+// >= 6 come from lo alone (an all-0s/all-1s word), so a block is
+// assembled without per-bit loops. Used by the dispatched sweep kernels
+// (sim/isa.hpp) and the relabel sweep.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace shufflebound::simd {
-
-#if !defined(SHUFFLEBOUND_FORCE_SCALAR) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SHUFFLEBOUND_SIMD_WIDE 1
-
-/// 256-bit lane: four 64-bit words of packed test vectors.
-typedef std::uint64_t Lane __attribute__((vector_size(32)));
-
-inline constexpr std::size_t kLaneWords = 4;
-
-inline Lane lane_splat(std::uint64_t word) {
-  return Lane{word, word, word, word};
-}
-
-inline std::uint64_t lane_word(const Lane& lane, std::size_t j) {
-  return lane[static_cast<int>(j)];
-}
-
-inline void lane_set_word(Lane& lane, std::size_t j, std::uint64_t word) {
-  lane[static_cast<int>(j)] = word;
-}
-
-inline bool lane_any(const Lane& lane) {
-  return (lane[0] | lane[1] | lane[2] | lane[3]) != 0;
-}
-
-#else
-
-/// Scalar fallback: one 64-bit word per lane, identical interface.
-using Lane = std::uint64_t;
-
-inline constexpr std::size_t kLaneWords = 1;
-
-inline Lane lane_splat(std::uint64_t word) { return word; }
-
-inline std::uint64_t lane_word(const Lane& lane, std::size_t /*j*/) {
-  return lane;
-}
-
-inline void lane_set_word(Lane& lane, std::size_t /*j*/,
-                          std::uint64_t word) {
-  lane = word;
-}
-
-inline bool lane_any(const Lane& lane) { return lane != 0; }
-
-#endif
-
-/// Test vectors packed per lane.
-inline constexpr std::size_t kLaneBits = kLaneWords * 64;
-
-inline Lane lane_zero() { return lane_splat(0); }
-
-// --------------------------------------------------------------------
-// Packed 0-1 input construction. Vector index v (the integer whose bit
-// w is the 0/1 value fed to wire w) is enumerated in blocks; the word
-// for wire w covering indices [lo, lo + 64) has bit s = bit w of
-// (lo + s). With lo a multiple of 64, bits below 6 come from s alone
-// (a fixed pattern per wire) and bits >= 6 come from lo alone (an
-// all-0s/all-1s word), so a block is assembled without per-bit loops.
-// --------------------------------------------------------------------
 
 /// pattern_word(w, lo): packed bit w of vectors lo..lo+63. Precondition:
 /// lo is a multiple of 64.
@@ -90,15 +23,6 @@ inline std::uint64_t pattern_word(std::uint32_t w, std::uint64_t lo) {
   return (lo >> w & 1ull) != 0 ? ~0ull : 0ull;
 }
 
-/// Lane of packed bit w covering vectors base..base+kLaneBits-1.
-/// Precondition: base is a multiple of 64.
-inline Lane pattern_lane(std::uint32_t w, std::uint64_t base) {
-  Lane lane = lane_zero();
-  for (std::size_t j = 0; j < kLaneWords; ++j)
-    lane_set_word(lane, j, pattern_word(w, base + 64 * j));
-  return lane;
-}
-
 /// Valid-bit mask for the word covering vectors [lo, lo + 64) when only
 /// indices below `total` exist: all-ones for full words, a low-bit mask
 /// for the tail, zero past the end.
@@ -106,15 +30,6 @@ inline std::uint64_t valid_mask(std::uint64_t lo, std::uint64_t total) {
   if (lo >= total) return 0;
   const std::uint64_t left = total - lo;
   return left >= 64 ? ~0ull : (1ull << left) - 1;
-}
-
-/// Lane-wide valid mask for vectors [base, base + kLaneBits) below
-/// `total`.
-inline Lane valid_mask_lane(std::uint64_t base, std::uint64_t total) {
-  Lane lane = lane_zero();
-  for (std::size_t j = 0; j < kLaneWords; ++j)
-    lane_set_word(lane, j, valid_mask(base + 64 * j, total));
-  return lane;
 }
 
 }  // namespace shufflebound::simd

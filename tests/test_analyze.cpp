@@ -19,8 +19,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -245,6 +247,124 @@ TEST(AnalyzeElimination, HandcraftedRedundancyIsFoundAndRewritten) {
     for (auto& v : values) v = static_cast<int>(rng.below(3));
     EXPECT_EQ(net.evaluate(values), reduced.net.evaluate(values));
   }
+}
+
+// --- One analyzer pass per certify -------------------------------------
+
+/// A sorter followed by `tail`, a level appended to it: repeating the
+/// sorter's last level makes every tail comparator Redundant, a level of
+/// descending comparators on sorted neighbours makes each one
+/// AlwaysExchange, and exchanges give a sorting-up-to-relabel network.
+ComparatorNetwork with_tail(ComparatorNetwork net, GateOp op) {
+  Level tail;
+  for (wire_t w = 0; w + 1 < net.width(); w += 2)
+    tail.gates.emplace_back(w, w + 1, op);
+  net.add_level(std::move(tail));
+  return net;
+}
+
+/// The verdict eliminate_redundant carries (its pass over the original
+/// network) must equal a fresh analysis of the eliminated, compiled
+/// network - what the certify path analyzes on an arena hit.
+void expect_elimination_verdict_matches(const std::string& name,
+                                        const ComparatorNetwork& net) {
+  SCOPED_TRACE(name);
+  const EliminationResult reduced = eliminate_redundant(net);
+  const AnalyzeReport fresh =
+      analyze(level_program_from_compiled(compile(reduced.net)));
+  EXPECT_EQ(reduced.verdict, fresh.verdict);
+  if (fresh.verdict == AnalyzeVerdict::CertifiedUpToRelabel) {
+    EXPECT_EQ(reduced.relabel_ranks, fresh.relabel_ranks);
+  } else {
+    EXPECT_TRUE(reduced.relabel_ranks.empty());
+  }
+}
+
+std::size_t analyze_certify_spans() {
+  std::size_t spans = 0;
+  for (const obs::SpanRecord& span : obs::registry().snapshot_spans())
+    if (std::string_view(span.name) == "analyze_certify") ++spans;
+  return spans;
+}
+
+TEST(AnalyzeElimination, VerdictMatchesAnalysisOfTheEliminatedNetwork) {
+  std::vector<std::pair<std::string, ComparatorNetwork>> corpus =
+      example_corpus();
+  corpus.emplace_back("brick-8-repeat-tail",
+                      with_tail(brick_sorter(8), GateOp::CompareAsc));
+  corpus.emplace_back("bitonic-8-desc-tail",
+                      with_tail(bitonic_sorting_network(8),
+                                GateOp::CompareDesc));
+  corpus.emplace_back("oem-16-exchange-tail",
+                      with_tail(odd_even_mergesort_network(16),
+                                GateOp::Exchange));
+  corpus.emplace_back("bitonic-64", bitonic_sorting_network(64));
+  corpus.emplace_back("oem-64", odd_even_mergesort_network(64));
+  std::size_t seen[3] = {0, 0, 0};
+  for (const auto& [name, net] : corpus) {
+    expect_elimination_verdict_matches(name, net);
+    ++seen[static_cast<int>(eliminate_redundant(net).verdict)];
+  }
+  Prng rng(0xD1FF);
+  for (int round = 0; round < 200; ++round) {
+    const wire_t n = static_cast<wire_t>(2 + rng.below(15));  // 2..16
+    const ComparatorNetwork net = random_network(rng, n, 1 + rng.below(12));
+    expect_elimination_verdict_matches("random-" + std::to_string(round),
+                                       net);
+    ++seen[static_cast<int>(eliminate_redundant(net).verdict)];
+  }
+  for (const AnalyzeVerdict verdict :
+       {AnalyzeVerdict::Certified, AnalyzeVerdict::CertifiedUpToRelabel,
+        AnalyzeVerdict::Inconclusive})
+    EXPECT_GT(seen[static_cast<int>(verdict)], 0u)
+        << "no " << analyze_verdict_name(verdict) << " case exercised";
+}
+
+TEST(AnalyzeCertification, OneAnalyzerPassPerCertify) {
+  // Every analyzer pass on the certify path runs under one
+  // kernel/analyze_certify span: the elimination pass on an arena miss
+  // or without an arena, analyze_zero_one on an arena hit.
+  obs::set_enabled(true);
+  const std::pair<std::string, ComparatorNetwork> cases[] = {
+      {"bitonic-16", bitonic_sorting_network(16)},
+      {"brick-8-repeat-tail", with_tail(brick_sorter(8), GateOp::CompareAsc)},
+      {"broken-oem-8", drop_one_comparator(odd_even_mergesort_network(8), 1)},
+  };
+  for (const CertifyEngine engine :
+       {CertifyEngine::Auto, CertifyEngine::Analyze}) {
+    for (const auto& [name, net] : cases) {
+      SCOPED_TRACE(name + " " + certify_engine_name(engine));
+      CompilationArena arena;
+      CertifyOptions plain;
+      plain.engine = engine;
+      CertifyOptions cached = plain;
+      cached.arena = &arena;
+      cached.arena_key = ArenaKey{1, 2};
+      std::optional<bool> sorts;
+      for (const CertifyOptions* opts : {&plain, &cached, &cached}) {
+        obs::reset();
+        bool certified = false;
+        try {
+          certified = zero_one_check(net, *opts).sorts_all;
+        } catch (const std::runtime_error&) {
+          // Forced analyze on a network it cannot prove: same verdict
+          // on every path, checked through `sorts` below.
+        }
+        EXPECT_EQ(analyze_certify_spans(), 1u);
+        EXPECT_EQ(obs::counter("kernel.analyze_certified").value() +
+                      obs::counter("kernel.analyze_inconclusive").value(),
+                  1u);
+        if (sorts) {
+          EXPECT_EQ(*sorts, certified);
+        }
+        sorts = certified;
+      }
+      EXPECT_EQ(arena.stats().misses, 1u);
+      EXPECT_EQ(arena.stats().hits, 1u);
+    }
+  }
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 // Analyze jobs through the concurrent batch engine: many workers, every

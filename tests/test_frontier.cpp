@@ -3,10 +3,10 @@
 // sim/bitparallel.hpp): the frontier, the wide-lane sweep, and the
 // scalar reference kernel must agree bit for bit - same sorts_all, same
 // MINIMAL failing vector - on sorting and non-sorting networks, with
-// tracing on and off, with and without a thread pool. The whole file
-// also runs under the SHUFFLEBOUND_FORCE_SCALAR build (the sweep legs
-// drop to the uint64 path there), so agreement is pinned across lane
-// widths too.
+// tracing on and off, with and without a thread pool. CI also runs the
+// whole file with SHUFFLEBOUND_FORCE_ISA=scalar and =generic (the sweep
+// legs drop to the 64-bit and 256-bit dispatch paths there), so
+// agreement is pinned across lane widths too.
 #include <gtest/gtest.h>
 
 #include <bit>

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "adversary/certificate.hpp"
@@ -104,6 +105,41 @@ TEST(Fuzz, SeedCorpusReplays) {
                 [](const std::string& t) { (void)certificate_from_text(t); });
     replay_seed(text, [](const std::string& t) { (void)pattern_from_text(t); });
   }
+}
+
+// The over-limit width seeds: each parser rejects its own format's
+// hostile header with one invalid_argument naming the limit, before any
+// width-sized allocation. A header at the limit still parses.
+TEST(Fuzz, OverLimitWidthsAreRejected) {
+  const auto read_seed = [](const char* name) {
+    std::ifstream in(std::filesystem::path(SB_TEST_DATA_DIR) / "fuzz_seeds" /
+                     name);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  };
+  const auto expect_limit_error = [](auto parse, const std::string& text) {
+    try {
+      parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("kMaxTextWidth"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_limit_error([](const std::string& t) { (void)circuit_from_text(t); },
+                     read_seed("circuit_huge_width.txt"));
+  expect_limit_error([](const std::string& t) { (void)register_from_text(t); },
+                     read_seed("register_huge_width.txt"));
+  expect_limit_error([](const std::string& t) { (void)iterated_from_text(t); },
+                     read_seed("iterated_huge_width.txt"));
+  const std::string at_limit =
+      "circuit " + std::to_string(kMaxTextWidth) + "\nend\n";
+  EXPECT_EQ(circuit_from_text(at_limit).width(), kMaxTextWidth);
+  expect_limit_error([](const std::string& t) { (void)circuit_from_text(t); },
+                     "circuit " + std::to_string(kMaxTextWidth + 1) +
+                         "\nend\n");
 }
 
 TEST(Fuzz, CircuitParserSurvivesCorruption) {

@@ -25,7 +25,6 @@
 #include "sim/bitparallel.hpp"
 #include "sim/batch.hpp"
 #include "sim/isa.hpp"
-#include "sim/simd.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -245,7 +244,7 @@ TEST_F(ObsTest, VectorsEvaluatedCountsOnlyEvaluatedBlocks) {
       obs::counter("kernel.vectors_evaluated").value();
   // The serial sweep scans blocks in ascending order and stops at the
   // block holding the minimal failing vector. Block size is the active
-  // dispatch path's lane width, not the compile-time simd::kLaneBits.
+  // dispatch path's lane width.
   const std::uint64_t lane_bits = simd::active_kernel().lane_bits;
   EXPECT_EQ(evaluated,
             (*failed.failing_vector / lane_bits + 1) * lane_bits);

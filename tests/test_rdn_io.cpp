@@ -88,6 +88,10 @@ TEST(IteratedIo, ParseErrors) {
                                   "tree 0 1 2\nendstage\nend\n"),
                std::invalid_argument);  // short leaf order
   EXPECT_THROW(iterated_from_text("iterated 4\nstage perm identity\n"
+                                  "tree 0 1 2 9\nlevel 0+1 2+3\n"
+                                  "level 0+2 1+3\nendstage\nend\n"),
+               std::invalid_argument);  // leaf wire past the width
+  EXPECT_THROW(iterated_from_text("iterated 4\nstage perm identity\n"
                                   "tree 0 1 2 3\nlevel 0+2\n"),
                std::invalid_argument);  // missing endstage/end
   // Gates violating the declared tree are rejected at add_stage.

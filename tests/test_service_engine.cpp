@@ -283,7 +283,11 @@ TEST(ServiceEngine, LintJobsAreCachedByTextAndStrictness) {
   const std::string sorter = sorter8_text();
   const std::vector<std::string> lines = {job_line("lint", sorter, "l0"),
                                           job_line("lint", sorter, "l1")};
-  const BatchRun run = run_batch(lines, EngineConfig{});
+  // One worker: the engine promises a hit only to a duplicate that runs
+  // after its twin finished, not to one that runs concurrently with it.
+  EngineConfig config;
+  config.workers = 1;
+  const BatchRun run = run_batch(lines, config);
   ASSERT_EQ(run.lines.size(), 2u);
   // Identical text + strictness: second job is a pure cache hit, and the
   // serialized results are byte-identical apart from the id.
@@ -356,7 +360,11 @@ TEST(ServiceEngine, OutputIsByteIdenticalAcrossWorkerCountsAndCacheStates) {
 }
 
 TEST(ServiceEngine, DuplicateJobsHitTheCache) {
-  const BatchRun run = run_batch(mixed_job_lines(), EngineConfig{});
+  // One worker, so every duplicate runs after its twin finished: the
+  // engine makes no hit promise for duplicates that run concurrently.
+  EngineConfig config;
+  config.workers = 1;
+  const BatchRun run = run_batch(mixed_job_lines(), config);
   std::uint64_t hits = 0;
   for (const char* kind : {"info", "certify", "refute", "count-sorted"})
     hits += telemetry_uint(run.telemetry, {"jobs", kind, "cache_hits"});

@@ -1,8 +1,8 @@
-// Differential suite for the wide-lane kernel engine: the scalar
-// reference kernel (core/bitparallel.hpp), the compiled scalar path and
-// the compiled wide path (sim/compiled_net.hpp + sim/simd.hpp) must
-// agree bit for bit on every network model, including the awkward
-// shapes - width 1, full 64-wire words, descending comparators, and
+// Differential suite for the wide-lane kernel engine: every sweep path
+// in the runtime dispatch table (sim/isa.hpp) must agree bit for bit
+// with the structure-walking reference kernel (core/bitparallel.hpp) on
+// every network model, including the awkward shapes - width 1, the
+// single-word and widest sweepable widths, descending comparators, and
 // register networks that end in pure-exchange steps the compiler elides
 // entirely. Also pins the determinism contract of zero_one_check: the
 // minimal failing vector is identical with and without a thread pool.
@@ -22,6 +22,7 @@
 #include "networks/shuffle.hpp"
 #include "sim/bitparallel.hpp"
 #include "sim/compiled_net.hpp"
+#include "sim/isa.hpp"
 #include "sim/simd.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -51,14 +52,17 @@ ComparatorNetwork random_mixed_circuit(wire_t n, std::size_t depth,
   return net;
 }
 
-/// Minimal failing 0/1 vector by the reference kernel: per-bit input
-/// construction, 64 vectors per word, structure-walking evaluator.
-std::optional<std::uint64_t> reference_min_failing(
-    const ComparatorNetwork& net) {
+/// Minimal failing 0/1 vector in [lo, hi) (lo a multiple of 64) by the
+/// reference kernel: per-bit input construction, 64 vectors per word,
+/// structure-walking evaluator. Register networks are checked in
+/// register order, as zero_one_check does.
+template <typename Net>
+std::optional<std::uint64_t> reference_min_failing_in(const Net& net,
+                                                      std::uint64_t lo,
+                                                      std::uint64_t hi) {
   const wire_t n = net.width();
-  const std::uint64_t total = std::uint64_t{1} << n;
   std::vector<std::uint64_t> words(n);
-  for (std::uint64_t base = 0; base < total; base += 64) {
+  for (std::uint64_t base = lo; base < hi; base += 64) {
     for (wire_t w = 0; w < n; ++w) {
       std::uint64_t word = 0;
       for (std::uint64_t s = 0; s < 64; ++s)
@@ -68,28 +72,50 @@ std::optional<std::uint64_t> reference_min_failing(
     evaluate_packed(net, words);
     std::uint64_t bad = 0;
     for (wire_t w = 0; w + 1 < n; ++w) bad |= words[w] & ~words[w + 1];
-    bad &= simd::valid_mask(base, total);
+    bad &= simd::valid_mask(base, hi);
     if (bad != 0)
       return base + static_cast<std::uint64_t>(std::countr_zero(bad));
   }
   return std::nullopt;
 }
 
-// ------------------------------------------------------ lane helpers --
-
-TEST(SimdLane, WordRoundTripAndReductions) {
-  simd::Lane lane = simd::lane_zero();
-  EXPECT_FALSE(simd::lane_any(lane));
-  for (std::size_t j = 0; j < simd::kLaneWords; ++j) {
-    simd::lane_set_word(lane, j, 0x100ull + j);
-    EXPECT_EQ(simd::lane_word(lane, j), 0x100ull + j);
-  }
-  EXPECT_TRUE(simd::lane_any(lane));
-  const simd::Lane splat = simd::lane_splat(0xDEADBEEFull);
-  for (std::size_t j = 0; j < simd::kLaneWords; ++j)
-    EXPECT_EQ(simd::lane_word(splat, j), 0xDEADBEEFull);
-  EXPECT_EQ(simd::kLaneBits, simd::kLaneWords * 64);
+template <typename Net>
+std::optional<std::uint64_t> reference_min_failing(const Net& net) {
+  return reference_min_failing_in(net, 0, std::uint64_t{1} << net.width());
 }
+
+/// Minimal failing vector over all 2^n inputs by one dispatch path's
+/// sweep_block, folding blocks in ascending order.
+std::optional<std::uint64_t> dispatched_min_failing(
+    const simd::KernelDispatch& kernel, const CompiledNetwork& net) {
+  const std::uint64_t total = std::uint64_t{1} << net.width();
+  for (std::uint64_t base = 0; base < total; base += kernel.lane_bits) {
+    const std::uint64_t failing = kernel.sweep_block(net, base, total);
+    if (failing != UINT64_MAX) return failing;
+  }
+  return std::nullopt;
+}
+
+/// Register network of random steps followed by `trailing` steps that
+/// are pure exchanges: data movement the compiler folds into the output
+/// order, so the compiled program ends before the source network does.
+RegisterNetwork trailing_exchange_register(wire_t n, int trailing,
+                                           Prng& rng) {
+  RegisterNetwork net(n);
+  static constexpr GateOp kOps[] = {GateOp::CompareAsc, GateOp::CompareDesc,
+                                    GateOp::Exchange, GateOp::Passthrough};
+  for (int s = 0; s < 4; ++s) {
+    std::vector<GateOp> ops(n / 2);
+    for (auto& op : ops) op = kOps[rng.below(4)];
+    net.add_step({random_permutation(n, rng), std::move(ops)});
+  }
+  for (int s = 0; s < trailing; ++s)
+    net.add_step({random_permutation(n, rng),
+                  std::vector<GateOp>(n / 2, GateOp::Exchange)});
+  return net;
+}
+
+// ------------------------------------------------------ input words --
 
 TEST(SimdLane, PatternWordMatchesPerBitConstruction) {
   for (const std::uint32_t w : {0u, 1u, 5u, 6u, 7u, 20u, 63u}) {
@@ -110,56 +136,65 @@ TEST(SimdLane, ValidMaskBoundaries) {
   EXPECT_EQ(simd::valid_mask(0, 63), (1ull << 63) - 1);
   EXPECT_EQ(simd::valid_mask(64, 64), 0ull);
   EXPECT_EQ(simd::valid_mask(128, 130), 3ull);
-  const simd::Lane lane = simd::valid_mask_lane(0, 65);
-  EXPECT_EQ(simd::lane_word(lane, 0), ~0ull);
-  if (simd::kLaneWords > 1) {
-    EXPECT_EQ(simd::lane_word(lane, 1), 1ull);
-  }
+  EXPECT_EQ(simd::valid_mask(64, 65), 1ull);
 }
 
 // ------------------------------------------- packed-kernel agreement --
 
 TEST(SimdDifferential, PackedKernelsAgreeOnRandomCircuits) {
-  // Scalar reference vs compiled scalar vs compiled wide, bit for bit,
-  // at a tiny width, an odd width, and the full 64-wire word boundary.
+  // Every available dispatch path against the reference, on the exact
+  // minimal failing vector. Full sweeps cover width 1, widths inside one
+  // 64-vector word, exactly one word (n = 6) and several blocks per
+  // path; random circuits mix ascending, descending and exchange gates.
   Prng rng(101);
-  for (const wire_t n : {2u, 5u, 64u}) {
-    for (int rep = 0; rep < 4; ++rep) {
-      const ComparatorNetwork net = random_mixed_circuit(n, 6, rng);
-      const CompiledNetwork compiled = compile(net);
-      const std::span<const wire_t> order = compiled.output_order();
+  std::vector<ComparatorNetwork> circuits;
+  circuits.emplace_back(1);
+  for (const wire_t n : {2u, 5u, 6u, 7u, 12u}) {
+    for (int rep = 0; rep < 4; ++rep)
+      circuits.push_back(random_mixed_circuit(n, 6, rng));
+    circuits.push_back(brick_sorter(n));
+  }
+  std::vector<RegisterNetwork> registers;
+  for (const wire_t n : {2u, 6u, 10u})
+    for (const int trailing : {1, 2})
+      registers.push_back(trailing_exchange_register(n, trailing, rng));
 
-      // kLaneWords independent 64-vector blocks of random inputs.
-      std::vector<std::vector<std::uint64_t>> inputs(
-          simd::kLaneWords, std::vector<std::uint64_t>(n));
-      for (auto& block : inputs)
-        for (auto& word : block) word = rng();
+  for (const simd::Isa isa : simd::available_isas()) {
+    const simd::KernelDispatch& kernel = simd::kernel_for(isa);
+    for (std::size_t c = 0; c < circuits.size(); ++c)
+      ASSERT_EQ(dispatched_min_failing(kernel, compile(circuits[c])),
+                reference_min_failing(circuits[c]))
+          << kernel.name << " circuit=" << c
+          << " n=" << circuits[c].width();
+    for (std::size_t r = 0; r < registers.size(); ++r) {
+      const CompiledNetwork compiled = compile(registers[r]);
+      ASSERT_EQ(compiled.op_count(), registers[r].comparator_count());
+      ASSERT_EQ(dispatched_min_failing(kernel, compiled),
+                reference_min_failing(registers[r]))
+          << kernel.name << " register=" << r
+          << " n=" << registers[r].width();
+    }
+  }
 
-      // Reference outputs per block.
-      std::vector<std::vector<std::uint64_t>> expect = inputs;
-      for (auto& block : expect) evaluate_packed(net, block);
-
-      // Compiled scalar path, one block at a time.
-      for (std::size_t j = 0; j < simd::kLaneWords; ++j) {
-        std::vector<std::uint64_t> slots = inputs[j];
-        compiled.evaluate_packed(slots.data());
-        for (wire_t w = 0; w < n; ++w)
-          ASSERT_EQ(slots[order[w]], expect[j][w])
-              << "n=" << n << " rep=" << rep << " block=" << j
-              << " wire=" << w;
+  // The widest sweepable width: 2^30 vectors are too many for the
+  // reference, so compare single blocks at seeded bases (multiples of
+  // 512, a whole block on every path).
+  const wire_t wide = kSweepWidthCap;
+  const std::uint64_t total = std::uint64_t{1} << wide;
+  const ComparatorNetwork wide_nets[] = {random_mixed_circuit(wide, 6, rng),
+                                         brick_sorter(wide)};
+  for (const ComparatorNetwork& net : wide_nets) {
+    const CompiledNetwork compiled = compile(net);
+    for (int sample = 0; sample < 4; ++sample) {
+      const std::uint64_t base = rng.below(total / 512) * 512;
+      for (const simd::Isa isa : simd::available_isas()) {
+        const simd::KernelDispatch& kernel = simd::kernel_for(isa);
+        const std::uint64_t got = kernel.sweep_block(compiled, base, total);
+        const std::optional<std::uint64_t> expect =
+            reference_min_failing_in(net, base, base + kernel.lane_bits);
+        ASSERT_EQ(got, expect.value_or(UINT64_MAX))
+            << kernel.name << " base=" << base;
       }
-
-      // Compiled wide path, all blocks in one lane.
-      std::vector<simd::Lane> lanes(n, simd::lane_zero());
-      for (wire_t w = 0; w < n; ++w)
-        for (std::size_t j = 0; j < simd::kLaneWords; ++j)
-          simd::lane_set_word(lanes[w], j, inputs[j][w]);
-      compiled.evaluate_packed(lanes.data());
-      for (wire_t w = 0; w < n; ++w)
-        for (std::size_t j = 0; j < simd::kLaneWords; ++j)
-          ASSERT_EQ(simd::lane_word(lanes[order[w]], j), expect[j][w])
-              << "n=" << n << " rep=" << rep << " block=" << j
-              << " wire=" << w;
     }
   }
 }
@@ -211,17 +246,7 @@ TEST(SimdDifferential, RegisterTrailingExchangesAllPermutations) {
   // slot indirection; steps that are PURE data movement at the very end
   // of the network exercise exactly the output_order bookkeeping.
   Prng rng(303);
-  RegisterNetwork net(6);
-  static constexpr GateOp kOps[] = {GateOp::CompareAsc, GateOp::CompareDesc,
-                                    GateOp::Exchange, GateOp::Passthrough};
-  for (int s = 0; s < 4; ++s) {
-    std::vector<GateOp> ops(3);
-    for (auto& op : ops) op = kOps[rng.below(4)];
-    net.add_step({random_permutation(6, rng), std::move(ops)});
-  }
-  for (int s = 0; s < 2; ++s)
-    net.add_step({random_permutation(6, rng),
-                  {GateOp::Exchange, GateOp::Exchange, GateOp::Exchange}});
+  const RegisterNetwork net = trailing_exchange_register(6, 2, rng);
   const CompiledNetwork compiled = compile(net);
   EXPECT_EQ(compiled.op_count(), net.comparator_count());
 
