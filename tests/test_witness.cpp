@@ -76,18 +76,28 @@ TEST(Witness, SortingNetworkNeverRefuted) {
   EXPECT_FALSE(check.refutes_sorting());
 }
 
+// gtest names each case by dumping the parameter's bytes, so the struct has
+// no padding: the four bytes after n are an explicit zero, which keeps the
+// case names the same from one build and run to the next.
 struct FamilyCase {
+  FamilyCase(wire_t n_, std::size_t depth_, std::uint64_t seed_)
+      : n(n_), depth(depth_), seed(seed_) {}
   wire_t n;
+  std::uint32_t zero = 0;
   std::size_t depth;  // shuffle steps
   std::uint64_t seed;
 };
+static_assert(sizeof(FamilyCase) ==
+              sizeof(wire_t) + sizeof(std::uint32_t) + sizeof(std::size_t) +
+                  sizeof(std::uint64_t));
 
 class WitnessFamilies : public ::testing::TestWithParam<FamilyCase> {};
 
 TEST_P(WitnessFamilies, RandomShuffleNetworksAlwaysRefuted) {
-  const auto [n, depth, seed] = GetParam();
-  Prng rng(seed);
-  const RegisterNetwork reg = random_shuffle_network(n, depth, rng, {10, 10});
+  const FamilyCase& c = GetParam();
+  Prng rng(c.seed);
+  const RegisterNetwork reg =
+      random_shuffle_network(c.n, c.depth, rng, {10, 10});
   const IteratedRdn rdn = shuffle_to_iterated_rdn(reg);
   const AdversaryResult r = run_adversary(rdn);
   ASSERT_GE(r.survivors.size(), 2u)
