@@ -14,11 +14,20 @@
 //                  pruning ratio stays above ~0.85, which is what keeps
 //                  level frontiers (and the search itself) tractable.
 //
-// Metrics: nodes/s and pruning ratio per width, gated against
-// bench/baseline.json floors in the perf-smoke CI job.
+//   scaling        exhaustive searches per second at n = 7 on 1-, 2- and
+//                  4-worker pools, and at n = 8 on the default pool:
+//                  the whole search end to end, expansion, dedup and
+//                  subsumption included.
+//
+// Metrics: nodes/s and pruning ratio per width, searches/s per pool
+// size, gated against bench/baseline.json floors in the perf-smoke CI
+// job.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "search/search.hpp"
@@ -71,9 +80,48 @@ void search_section() {
       benchutil::metric("search_pruning_ratio_n" + std::to_string(n),
                         pruning);
     }
+    if (n == 8)
+      benchutil::metric("search_exhaustive_per_s_n8",
+                        1.0 / (elapsed > 0 ? elapsed : 1e-9));
     if (n == 9)
       benchutil::metric("search_existence_per_s_n9",
                         1.0 / (elapsed > 0 ? elapsed : 1e-9));
+  }
+}
+
+/// Median wall seconds of `reps` exhaustive n = 7 searches on `pool`,
+/// after one untimed warm-up search.
+double median_n7_seconds(ThreadPool& pool, int reps) {
+  SearchOptions options;
+  options.pool = &pool;
+  find_min_depth_network(7, options);
+  std::vector<double> times;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = Clock::now();
+    const SearchResult result = find_min_depth_network(7, options);
+    times.push_back(seconds_since(t0));
+    if (result.status != SearchStatus::Optimal || result.optimal_depth != 6)
+      throw std::logic_error("bench_e22: wrong depth at n=7");
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
+void scaling_section() {
+  std::printf("\nexhaustive n = 7 by pool size (median of 9 searches):\n");
+  std::printf("%7s | %9s | %10s | %11s\n", "workers", "ms/search",
+              "searches/s", "vs 1 worker");
+  benchutil::rule();
+  double base_per_s = 0;
+  for (const std::size_t workers : std::array<std::size_t, 3>{1, 2, 4}) {
+    ThreadPool pool(workers);
+    const double seconds = median_n7_seconds(pool, 9);
+    const double per_s = 1.0 / (seconds > 0 ? seconds : 1e-9);
+    if (workers == 1) base_per_s = per_s;
+    std::printf("%7zu | %9.1f | %10.1f | %11.2f\n", workers, seconds * 1e3,
+                per_s, per_s / base_per_s);
+    benchutil::metric("search_exhaustive_per_s_n7_w" + std::to_string(workers),
+                      per_s);
   }
 }
 
@@ -85,6 +133,7 @@ void print_table() {
       "n = 9, 10) in seconds; the filter ladder prunes >= ~85% of "
       "generated children, which is what keeps the frontier tractable");
   search_section();
+  scaling_section();
 }
 
 // --------------------------------------------- google-benchmark rows --

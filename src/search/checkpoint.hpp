@@ -25,11 +25,10 @@ namespace shufflebound {
 inline constexpr std::uint32_t kCheckpointMagic = 0x53425352;  // "SBSR"
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
-/// Everything needed to resume a search mid-flight. `mode` is 0 for the
-/// exhaustive BFS (states = the current frontier at depth frontier_depth,
-/// histories = each state's matching-id trail) and 1 for the existence
-/// DFS (next_prefix = cursor into the deterministic prefix order; states
-/// and histories are empty).
+/// Everything needed to resume a search mid-flight: states = the current
+/// frontier at depth frontier_depth, histories = each state's matching-id
+/// trail. `mode` is 0 for the exhaustive BFS and 1 for the existence
+/// beam BFS (next_prefix = the beam round in progress).
 struct SearchCheckpoint {
   wire_t width = 0;
   std::uint8_t mode = 0;

@@ -62,27 +62,13 @@ LevelSpace::LevelSpace(wire_t n) : n_(n) {
       pair_hi_.push_back(hi);
       deltas_.push_back((std::uint64_t{1} << hi) - (std::uint64_t{1} << lo));
       movers_.resize(movers_.size() + words_, 0);
-      reverse_movers_.resize(reverse_movers_.size() + words_, 0);
       auto mover = std::span<std::uint64_t>(
           movers_.data() + std::size_t(id) * words_, words_);
-      auto rmover = std::span<std::uint64_t>(
-          reverse_movers_.data() + std::size_t(id) * words_, words_);
       for (std::uint64_t v = 0; v < total; ++v) {
         const bool at_lo = ((v >> lo) & 1u) != 0;
         const bool at_hi = ((v >> hi) & 1u) != 0;
         if (at_lo && !at_hi) mover[v / 64] |= std::uint64_t{1} << (v % 64);
-        if (at_hi && !at_lo) rmover[v / 64] |= std::uint64_t{1} << (v % 64);
       }
-    }
-  }
-
-  // Per-wire ones masks.
-  wire_ones_.assign(std::size_t(n) * words_, 0);
-  for (std::uint64_t v = 0; v < total; ++v) {
-    for (wire_t w = 0; w < n; ++w) {
-      if ((v >> w) & 1u)
-        wire_ones_[std::size_t(w) * words_ + v / 64] |= std::uint64_t{1}
-                                                        << (v % 64);
     }
   }
 

@@ -67,18 +67,6 @@ class LevelSpace {
   std::span<const std::uint64_t> mover(std::uint16_t id) const noexcept {
     return {movers_.data() + std::size_t(id) * words_, words_};
   }
-  /// The reverse orientation {v : v_hi = 1, v_lo = 0} - the witness set
-  /// against the fact "hi <= lo" when lifting a state into an
-  /// OrderRelation (search.cpp).
-  std::span<const std::uint64_t> reverse_mover(std::uint16_t id) const
-      noexcept {
-    return {reverse_movers_.data() + std::size_t(id) * words_, words_};
-  }
-  /// {v : v_w = 1} - empty intersection proves wire w pinned to 0,
-  /// full containment proves it pinned to 1.
-  std::span<const std::uint64_t> wire_ones(wire_t w) const noexcept {
-    return {wire_ones_.data() + std::size_t(w) * words_, words_};
-  }
   std::uint64_t delta(std::uint16_t id) const noexcept { return deltas_[id]; }
 
   /// All non-empty matchings, in a deterministic enumeration order
@@ -123,9 +111,7 @@ class LevelSpace {
   std::vector<std::uint16_t> pair_index_;  // n*n lookup (lo < hi)
   std::vector<wire_t> pair_lo_;
   std::vector<wire_t> pair_hi_;
-  std::vector<std::uint64_t> movers_;          // pair_count * words_
-  std::vector<std::uint64_t> reverse_movers_;  // pair_count * words_
-  std::vector<std::uint64_t> wire_ones_;       // n * words_
+  std::vector<std::uint64_t> movers_;  // pair_count * words_
   std::vector<std::uint64_t> deltas_;
   std::vector<std::uint64_t> weight_masks_;  // (n+1) * words_
   std::vector<Matching> matchings_;

@@ -166,7 +166,7 @@ std::vector<TwoLayerPrefix> generate_two_layer_prefixes(
   }
 
   // Deterministic downstream order: smallest output sets first (the best
-  // existence-DFS candidates), matching id as tie-break.
+  // existence-beam candidates), matching id as tie-break.
   std::stable_sort(kept.begin(), kept.end(),
                    [](const TwoLayerPrefix& a, const TwoLayerPrefix& b) {
                      const std::size_t ca = a.state.count();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -11,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "analyze/order_relation.hpp"
 #include "obs/obs.hpp"
 #include "search/checkpoint.hpp"
 #include "search/output_set.hpp"
@@ -64,17 +65,19 @@ const char* lower_bound_source_name(LowerBoundSource source) noexcept {
 
 double SearchStats::pruning_ratio() const noexcept {
   const std::uint64_t pruned = useless_filtered + stall_skips + dedup_hits +
-                               subsumption_hits + countdown_prunes + memo_hits;
+                               subsumption_hits + countdown_prunes;
   const std::uint64_t denom = pruned + children_generated;
   return denom == 0 ? 0.0 : double(pruned) / double(denom);
 }
 
 namespace {
 
+// Slot 8 is unused: written as 0 and ignored on read, so the checkpoint
+// format and existing files stay valid.
 std::array<std::uint64_t, 16> stats_to_array(const SearchStats& s) {
   return {s.nodes_expanded,    s.children_generated, s.useless_filtered,
           s.stall_skips,       s.dedup_hits,         s.subsumption_hits,
-          s.dominance_checks,  s.countdown_prunes,   s.memo_hits,
+          s.dominance_checks,  s.countdown_prunes,   0,
           s.prefixes,          s.relabel_duplicates, s.relabel_subsumed,
           s.leaf_certifications, s.checkpoint_writes, 0, 0};
 }
@@ -89,7 +92,6 @@ SearchStats stats_from_array(const std::array<std::uint64_t, 16>& a) {
   s.subsumption_hits = a[5];
   s.dominance_checks = a[6];
   s.countdown_prunes = a[7];
-  s.memo_hits = a[8];
   s.prefixes = a[9];
   s.relabel_duplicates = a[10];
   s.relabel_subsumed = a[11];
@@ -158,37 +160,14 @@ ComparatorNetwork certify_witness(const ComparatorNetwork& net,
   return out;
 }
 
-/// Lifts a 0-1 state into the analyzer's <=-relation domain: a wire pair
-/// with no (1, 0) member is proven ordered, a wire with constant bit
-/// value is pinned. Facts are closed transitively, so relation
-/// domination is a sound (necessary) gate for output-set inclusion.
-OrderRelation relation_from_state(const LevelSpace& space,
-                                  const OutputSet& state) {
-  const wire_t n = space.width();
-  OrderRelation rel(n);
-  const auto words = state.words();
-  for (wire_t w = 0; w < n; ++w) {
-    const auto ones = space.wire_ones(w);
-    bool any_one = false;
-    bool any_zero = false;
-    for (std::size_t i = 0; i < words.size(); ++i) {
-      if ((words[i] & ones[i]) != 0) any_one = true;
-      if ((words[i] & ~ones[i]) != 0) any_zero = true;
-      if (any_one && any_zero) break;
-    }
-    if (!any_one) rel.pin_zero(w);
-    if (!any_zero) rel.pin_one(w);
-  }
-  for (std::size_t id = 0; id < space.pair_count(); ++id) {
-    const auto pid = std::uint16_t(id);
-    if (!state.intersects(space.mover(pid)))
-      rel.add_fact(space.pair_lo(pid), space.pair_hi(pid));
-    if (!state.intersects(space.reverse_mover(pid)))
-      rel.add_fact(space.pair_hi(pid), space.pair_lo(pid));
-  }
-  rel.close_transitively();
-  return rel;
-}
+/// Per-weight-class populations clamped to 7 bits, zero past width n
+/// (exact through n = 9, whose largest class has 126 members). Clamping
+/// keeps componentwise <= a necessary condition for inclusion, and the
+/// 7-bit lanes let signature_leq compare all 16 with borrow-free
+/// subtraction on two words.
+using ClassSig = std::array<std::uint8_t, 16>;
+static_assert(kSearchWidthCap + 1 <= sizeof(ClassSig));
+constexpr std::size_t kClassSigMax = 127;
 
 /// One generated child during level expansion, before pruning.
 struct Candidate {
@@ -197,7 +176,7 @@ struct Candidate {
   std::uint32_t matching = 0;  // matching id that produced it
   std::uint32_t count = 0;     // state.count()
   std::pair<std::uint64_t, std::uint64_t> hash{0, 0};
-  std::array<std::uint8_t, kSearchWidthCap + 1> class_sig{};
+  ClassSig class_sig{};
 };
 
 void fill_candidate_meta(const LevelSpace& space, Candidate& c) {
@@ -208,14 +187,20 @@ void fill_candidate_meta(const LevelSpace& space, Candidate& c) {
       c.state,
       std::span<std::size_t>(counts.data(), std::size_t(space.width()) + 1));
   for (std::size_t k = 0; k <= std::size_t(space.width()); ++k)
-    c.class_sig[k] = std::uint8_t(std::min<std::size_t>(counts[k], 255));
+    c.class_sig[k] = std::uint8_t(std::min(counts[k], kClassSigMax));
 }
 
-/// sig_a componentwise <= sig_b - necessary for state_a ⊆ state_b.
-bool signature_leq(const Candidate& a, const Candidate& b, wire_t n) {
-  for (std::size_t k = 0; k <= std::size_t(n); ++k)
-    if (a.class_sig[k] > b.class_sig[k]) return false;
-  return true;
+/// a componentwise <= b - necessary for state_a ⊆ state_b. Each byte of
+/// (b | 0x80) - a keeps its high bit iff b >= a, and never borrows from
+/// its neighbour because a <= 127.
+bool signature_leq(const ClassSig& a, const ClassSig& b) noexcept {
+  constexpr std::uint64_t kHigh = 0x8080808080808080;
+  std::array<std::uint64_t, 2> wa{};
+  std::array<std::uint64_t, 2> wb{};
+  std::memcpy(wa.data(), a.data(), sizeof(a));
+  std::memcpy(wb.data(), b.data(), sizeof(b));
+  return (((wb[0] | kHigh) - wa[0]) & ((wb[1] | kHigh) - wa[1]) & kHigh) ==
+         kHigh;
 }
 
 void write_checkpoint_or_throw(const std::string& path,
@@ -249,6 +234,126 @@ constexpr std::size_t kExpandChunk = 256;
 /// size). Keeps the per-level candidate pool at beam * cap states
 /// instead of beam * |matchings|.
 constexpr std::size_t kBeamChildCap = 32;
+
+/// Candidates per subsumption block; fixed (rather than scaled to the
+/// pool) so serial and parallel runs run the same subset tests.
+constexpr std::size_t kSubsumeBlock = 512;
+
+/// One candidate's scan of a range of survivors.
+struct WindowScan {
+  std::size_t eligible = 0;  // survivors in the range smaller than it
+  std::size_t hit = 0;  // 1-based eligible position of the first subsumer
+                        // within the budget; 0 = none
+  std::uint64_t subset_tests = 0;  // exact tests past the signature gate
+};
+
+/// A level's subsumption survivors, flattened in survivor order: the
+/// state words, count and class signature of survivor i sit at index i
+/// of contiguous arrays, so a scan streams memory. Survivors are pushed
+/// in ascending count order (the pass walks count-sorted candidates).
+class SurvivorWindow {
+ public:
+  explicit SurvivorWindow(std::size_t words) : words_(words) {}
+
+  std::size_t size() const noexcept { return counts_.size(); }
+
+  void push(const Candidate& c) {
+    const auto w = c.state.words();
+    state_words_.insert(state_words_.end(), w.begin(), w.end());
+    counts_.push_back(c.count);
+    sigs_.push_back(c.class_sig);
+  }
+
+  /// Tests the survivors in [begin, end) strictly smaller than `c`,
+  /// newest first, at most `budget` of them, for a subset of c's state.
+  WindowScan scan(const Candidate& c, std::size_t begin, std::size_t end,
+                  std::size_t budget) const noexcept {
+    // Counts ascend, so the smaller survivors are a prefix of the range.
+    const auto counts = counts_.begin();
+    const auto stop = std::size_t(
+        std::lower_bound(counts + std::ptrdiff_t(begin),
+                         counts + std::ptrdiff_t(end), c.count) -
+        counts);
+    WindowScan out;
+    out.eligible = stop - begin;
+    const std::uint64_t* own = c.state.words().data();
+    const std::size_t tested = std::min(out.eligible, budget);
+    // The subset words are tested whatever the gate says: it passes for
+    // about half the pairs, too unpredictable to branch on.
+    for (std::size_t i = 1; i <= tested; ++i) {
+      const std::size_t s = stop - i;
+      const bool gate = signature_leq(sigs_[s], c.class_sig);
+      const std::uint64_t* theirs = state_words_.data() + s * words_;
+      std::uint64_t stray = 0;
+      for (std::size_t w = 0; w < words_; ++w) stray |= theirs[w] & ~own[w];
+      out.subset_tests += gate;
+      if (gate && stray == 0) {
+        out.hit = i;
+        break;
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::size_t words_;
+  std::vector<std::uint64_t> state_words_;  // size() * words_
+  std::vector<std::uint32_t> counts_;
+  std::vector<ClassSig> sigs_;
+};
+
+/// Output-set subsumption over `kept` (indices into `level`, ascending
+/// count): a strictly smaller state completes at least as fast as any
+/// superset, so each candidate is dropped if one of the first `window`
+/// (0 = all) smaller survivors, newest first, is a subset of it. Returns
+/// the survivors as indices into `kept`.
+///
+/// Blocks of kSubsumeBlock candidates keep that rule exact in parallel.
+/// Each candidate of a block first scans, on the pool, the survivors
+/// known before the block for h, the eligible position of its first
+/// subsumer. Then, in candidate order, it scans the block's own
+/// survivors so far - the newest ones - counting m eligible. Those are
+/// the first m survivors the serial rule would test, so the candidate
+/// is subsumed iff one of them hits within the window, or m < window
+/// and h <= window - m.
+std::vector<std::uint32_t> subsume(const std::vector<Candidate>& level,
+                                   const std::vector<std::uint32_t>& kept,
+                                   std::size_t words, std::size_t window,
+                                   ThreadPool* pool, SearchStats& stats) {
+  const std::size_t budget =
+      window == 0 ? std::numeric_limits<std::size_t>::max() : window;
+  SurvivorWindow survivors_window(words);
+  std::vector<std::uint32_t> survivors;  // indices into kept
+  std::array<WindowScan, kSubsumeBlock> before;
+  for (std::size_t block = 0; block < kept.size(); block += kSubsumeBlock) {
+    const std::size_t len = std::min(kSubsumeBlock, kept.size() - block);
+    const std::size_t known = survivors_window.size();
+    auto scan_known = [&](std::size_t i) {
+      before[i] = survivors_window.scan(level[kept[block + i]], 0, known,
+                                        budget);
+    };
+    if (pool != nullptr)
+      pool->parallel_for(0, len, scan_known);
+    else
+      for (std::size_t i = 0; i < len; ++i) scan_known(i);
+
+    for (std::size_t i = 0; i < len; ++i) {
+      const Candidate& c = level[kept[block + i]];
+      const WindowScan own =
+          survivors_window.scan(c, known, survivors_window.size(), budget);
+      stats.dominance_checks += before[i].subset_tests + own.subset_tests;
+      const std::size_t h = before[i].hit;
+      if (own.hit != 0 ||
+          (own.eligible < budget && h != 0 && h <= budget - own.eligible)) {
+        ++stats.subsumption_hits;
+        continue;
+      }
+      survivors_window.push(c);
+      survivors.push_back(std::uint32_t(block + i));
+    }
+  }
+  return survivors;
+}
 
 struct NodeExpansion {
   std::vector<Candidate> children;
@@ -305,6 +410,9 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
     const std::size_t remaining_after = depth_cap - next_depth;
     std::vector<Candidate> level;
     std::optional<std::pair<std::uint32_t, std::uint32_t>> winner;
+    // One span per level phase; each emplace ends the previous phase.
+    std::optional<obs::Span> phase;
+    phase.emplace("search", "expand");
     for (std::size_t chunk = 0; chunk < frontier.size() && !winner.has_value();
          chunk += kExpandChunk) {
       const std::size_t chunk_end =
@@ -406,6 +514,7 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
 
     // Exact-duplicate merge, keeping the first (minimal (parent,
     // matching)) copy of each state.
+    phase.emplace("search", "dedup");
     std::vector<std::uint32_t> kept;
     kept.reserve(level.size());
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
@@ -432,51 +541,14 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
                      [&](std::uint32_t a, std::uint32_t b) {
                        return level[a].count < level[b].count;
                      });
-    // Beam mode: bound the subsumption pass's input before building
-    // relations.
+    // Beam mode: bound the subsumption pass's input.
     if (beam_width != 0 && kept.size() > beam_width * 4)
       kept.resize(beam_width * 4);
 
-    // Output-set subsumption: a strictly smaller state completes at
-    // least as fast as any superset, so supersets are dropped. Gated by
-    // the class-count signature and by OrderRelation::dominates (both
-    // necessary conditions), then decided by the exact subset test.
-    std::vector<OrderRelation> relations(kept.size());
-    auto build_relation = [&](std::size_t i) {
-      relations[i] = relation_from_state(space, level[kept[i]].state);
-    };
-    if (options.pool != nullptr)
-      options.pool->parallel_for(0, kept.size(), build_relation);
-    else
-      for (std::size_t i = 0; i < kept.size(); ++i) build_relation(i);
-
-    std::vector<std::uint32_t> survivors;  // indices into kept
-    for (std::uint32_t k = 0; std::size_t(k) < kept.size(); ++k) {
-      const Candidate& ck = level[kept[k]];
-      bool subsumed = false;
-      std::size_t checked = 0;
-      for (std::size_t s = survivors.size(); s-- > 0;) {
-        if (options.subsumption_window != 0 &&
-            checked >= options.subsumption_window)
-          break;
-        const std::uint32_t j = survivors[s];
-        const Candidate& cj = level[kept[j]];
-        if (cj.count >= ck.count) continue;  // equal sizes already merged
-        ++checked;
-        if (!signature_leq(cj, ck, n)) continue;
-        ++stats.dominance_checks;
-        if (!relations[j].dominates(relations[k])) continue;
-        if (cj.state.subset_of(ck.state)) {
-          subsumed = true;
-          break;
-        }
-      }
-      if (subsumed) {
-        ++stats.subsumption_hits;
-        continue;
-      }
-      survivors.push_back(k);
-    }
+    phase.emplace("search", "subsume");
+    std::vector<std::uint32_t> survivors =
+        subsume(level, kept, words, options.subsumption_window, options.pool,
+                stats);
     if (beam_width != 0 && survivors.size() > beam_width)
       survivors.resize(beam_width);
 
@@ -488,6 +560,7 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
       history.push_back(c.matching);
       next.push_back({std::move(c.state), std::move(history)});
     }
+    phase.reset();
     frontier = std::move(next);
     depth = next_depth;
     checkpoint_now();

@@ -11,7 +11,7 @@
 //    any state is accepted IS the optimal depth - the result carries
 //    LowerBoundSource::Exhaustive.
 //
-//  * Existence (wider n, up to kSearchWidthCap): iterative-widening DFS
+//  * Existence (wider n, up to kSearchWidthCap): a widening beam BFS
 //    at the published optimal depth (Parberry 1991 for n = 9, 10;
 //    Bundala & Zavodny 2014 for n = 11-13). Finding a network at that
 //    depth reproduces the optimum; the matching lower bound is cited,
@@ -24,8 +24,7 @@
 // analyze/frontier/sweep dispatcher on the relabel-conjugated network);
 // a witness that fails certification is a bug and throws. Searches are
 // deterministic: serial and parallel runs return the identical witness
-// network (statistics may differ - parallel existence runs abort
-// provably-irrelevant branches early). Long runs can checkpoint to a
+// network and identical statistics. Long runs can checkpoint to a
 // CRC-guarded state file and resume (search/checkpoint.hpp).
 #pragma once
 
@@ -54,7 +53,7 @@ std::optional<std::size_t> published_optimal_depth(wire_t n);
 enum class SearchMode : std::uint8_t {
   Auto,        // Exhaustive iff n <= kExhaustiveSearchWidthCap
   Exhaustive,  // force the BFS (any n <= kSearchWidthCap; slow past 8)
-  Existence,   // force the DFS at the published depth
+  Existence,   // force the beam BFS at the published depth
 };
 
 enum class SearchStatus : std::uint8_t {
@@ -83,9 +82,9 @@ struct SearchStats {
   std::uint64_t stall_skips = 0;          // children identical to the parent
   std::uint64_t dedup_hits = 0;           // exact duplicate states merged
   std::uint64_t subsumption_hits = 0;     // states dropped as supersets
-  std::uint64_t dominance_checks = 0;     // OrderRelation::dominates calls
+  std::uint64_t dominance_checks = 0;     // exact subset tests past the
+                                          // class-signature gate
   std::uint64_t countdown_prunes = 0;     // weight-class countdown cutoffs
-  std::uint64_t memo_hits = 0;            // DFS dead-end memo cutoffs
   std::uint64_t prefixes = 0;             // canonical two-layer prefixes
   std::uint64_t relabel_duplicates = 0;   // prefixes equal mod relabeling
   std::uint64_t relabel_subsumed = 0;     // prefixes dropped by permuted subset
@@ -109,19 +108,19 @@ struct SearchOptions {
   /// Exceptions propagate and abort the search.
   std::function<void()> progress;
   /// When non-empty, the search writes a resumable checkpoint here at
-  /// every level (exhaustive) / batch (existence) boundary.
+  /// every BFS level boundary (both modes).
   std::string checkpoint_path;
   /// Resume from checkpoint_path if the file exists (a missing file
   /// starts fresh; a corrupt or mismatched one throws).
   bool resume = false;
   /// When > 0: pause (status Paused, checkpoint written) at the first
-  /// level/batch boundary where nodes_expanded reaches this count.
+  /// level boundary where nodes_expanded reaches this count.
   std::uint64_t pause_after_nodes = 0;
   /// Exhaustive mode: hard cap on per-level candidate states; exceeding
   /// it throws std::runtime_error rather than thrashing.
   std::size_t state_budget = std::size_t{1} << 22;
-  /// Exhaustive mode: each new state is checked for subsumption against
-  /// at most this many smaller survivors (0 = all). Windowing only
+  /// Each new state is checked for subsumption against at most this
+  /// many smaller survivors, newest first (0 = all). Windowing only
   /// weakens pruning, never correctness.
   std::size_t subsumption_window = 4096;
 };

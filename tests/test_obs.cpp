@@ -20,6 +20,7 @@
 #include "networks/batcher.hpp"
 #include "networks/shuffle.hpp"
 #include "obs/export.hpp"
+#include "search/search.hpp"
 #include "service/engine.hpp"
 #include "service/json.hpp"
 #include "sim/bitparallel.hpp"
@@ -321,6 +322,33 @@ TEST_F(ObsTest, QueueWaitSpansComeFromEngineSubmission) {
   }
   EXPECT_TRUE(saw_queue_wait);
   EXPECT_TRUE(saw_job_span);
+}
+
+// A traced exhaustive search spans each BFS level: expansion on every
+// level it enters, dedup and subsumption on every level that does not
+// end the search (n = 6 enters depths 3, 4 and accepts at 5).
+TEST_F(ObsTest, SearchSpansEachBfsLevel) {
+  obs::set_enabled(true);
+  const SearchResult result = find_min_depth_network(6);
+  ASSERT_EQ(result.status, SearchStatus::Optimal);
+  ASSERT_EQ(result.optimal_depth, 5u);
+  std::size_t find = 0;
+  std::size_t expand = 0;
+  std::size_t dedup = 0;
+  std::size_t subsume = 0;
+  for (const obs::SpanRecord& s : obs::registry().snapshot_spans()) {
+    if (std::string(s.cat) != "search") continue;
+    const std::string name = s.name;
+    find += name == "find_min_depth" ? 1 : 0;
+    expand += name == "expand" ? 1 : 0;
+    dedup += name == "dedup" ? 1 : 0;
+    subsume += name == "subsume" ? 1 : 0;
+  }
+  // The prefix generator builds depth 2; levels 3, 4 and 5 are BFS.
+  EXPECT_EQ(find, 1u);
+  EXPECT_EQ(expand, 3u);
+  EXPECT_EQ(dedup, 2u);
+  EXPECT_EQ(subsume, 2u);
 }
 
 }  // namespace

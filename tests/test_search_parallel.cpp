@@ -66,6 +66,52 @@ TEST(SearchParallel, SerialAndParallelAgreeExistence) {
             parallel.stats.children_generated);
 }
 
+// The subsumption pass scans blocks of candidates in parallel, yet must
+// take the serial rule's decisions: drop a state iff one of the first W
+// smaller survivors, newest first, is a subset of it (W = 0: all of
+// them). The counts are those of the plain serial scan. Windows 1 and 3
+// push candidates across block boundaries with the in-block survivor
+// count at or near W; at n = 7, W = 512 (the block size) a candidate
+// may only use the older survivors' first hit if it lies within the
+// part of the window the block's own survivors left over.
+struct WindowCase {
+  wire_t n;
+  std::size_t window;
+  std::uint64_t nodes_expanded;
+  std::uint64_t children_generated;
+  std::uint64_t dedup_hits;
+  std::uint64_t subsumption_hits;
+};
+
+TEST(SearchParallel, SubsumptionWindowMatchesTheSerialRule) {
+  constexpr WindowCase kCases[] = {
+      {6, 1, 345, 4234, 1026, 18},          {6, 3, 341, 4477, 960, 77},
+      {6, 64, 61, 911, 270, 430},           {6, 0, 61, 911, 270, 430},
+      {7, 512, 4282, 211849, 147396, 59923},
+      {7, 4096, 891, 34861, 14905, 18817}, {7, 0, 891, 34861, 14905, 18817},
+  };
+  ThreadPool pool(4);
+  for (const WindowCase& c : kCases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " window=" + std::to_string(c.window));
+    SearchOptions options;
+    options.subsumption_window = c.window;
+    const SearchResult serial = find_min_depth_network(c.n, options);
+    options.pool = &pool;
+    const SearchResult parallel = find_min_depth_network(c.n, options);
+    ASSERT_EQ(serial.status, SearchStatus::Optimal);
+    ASSERT_EQ(parallel.status, SearchStatus::Optimal);
+    EXPECT_EQ(to_text(serial.network), to_text(parallel.network));
+    for (const SearchStats& stats : {serial.stats, parallel.stats}) {
+      EXPECT_EQ(stats.nodes_expanded, c.nodes_expanded);
+      EXPECT_EQ(stats.children_generated, c.children_generated);
+      EXPECT_EQ(stats.dedup_hits, c.dedup_hits);
+      EXPECT_EQ(stats.subsumption_hits, c.subsumption_hits);
+    }
+    EXPECT_EQ(serial.stats.dominance_checks, parallel.stats.dominance_checks);
+  }
+}
+
 TEST(SearchParallel, CheckpointResumeReproducesExhaustiveResult) {
   const std::string path = temp_path("exhaustive");
   std::remove(path.c_str());
