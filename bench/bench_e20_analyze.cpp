@@ -101,23 +101,29 @@ void print_table() {
 
   // ------------------------------------------------ analyzer cost --
   const std::uint64_t reps = benchutil::quick() ? 64 : 512;
-  std::printf("analyze() wall time (bitonic sorter; certified verdict):\n");
+  std::printf("analyze() wall time (certified sorters):\n");
   std::printf("%-14s | %8s | %8s | %12s | %10s\n", "network", "width",
               "depth", "per analyze", "analyses/s");
   benchutil::rule();
-  const auto analyze_row = [&](wire_t n, const std::string& metric_tag) {
-    const ComparatorNetwork net = bitonic_sorting_network(n);
-    const double per = time_analyze(net, reps, true);
+  // Rows past one 64-bit word per relation row run an eighth of the
+  // repetitions: each analysis there takes milliseconds.
+  const auto analyze_row = [&](const std::string& family,
+                               const ComparatorNetwork& net) {
+    const wire_t n = net.width();
+    const double per = time_analyze(net, n > 64 ? reps / 8 : reps, true);
     std::printf("%-14s | %8u | %8zu | %10.3fms | %10.0f\n",
-                ("bitonic-" + std::to_string(n)).c_str(), n, net.depth(),
+                (family + "-" + std::to_string(n)).c_str(), n, net.depth(),
                 per * 1e3, 1.0 / per);
-    if (!metric_tag.empty())
-      benchutil::metric("analyze_per_s_" + metric_tag, 1.0 / per);
+    benchutil::metric(
+        "analyze_per_s_" + family + "_n" + std::to_string(n), 1.0 / per);
   };
-  analyze_row(16, "bitonic_n16");
-  analyze_row(64, "bitonic_n64");
-  analyze_row(128, "");
-  if (!benchutil::quick()) analyze_row(256, "");
+  analyze_row("bitonic", bitonic_sorting_network(16));
+  analyze_row("bitonic", bitonic_sorting_network(64));
+  analyze_row("bitonic", bitonic_sorting_network(128));
+  if (!benchutil::quick()) {
+    analyze_row("bitonic", bitonic_sorting_network(256));
+    analyze_row("brick", brick_sorter(192));
+  }
 
   // --------------------------------------------- certify speedup --
   // Same zero_one_check call, same verdict; the only change is which

@@ -1,6 +1,7 @@
 #include "analyze/analyzer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 
@@ -35,50 +36,96 @@ namespace {
 //    SLOT receives min vs max is irrelevant - the lemma is about the
 //    values - so ascending and descending merge blocks work alike.
 //  * Kill: any other touch of a fact's slots invalidates it.
-struct SegmentFact {
-  std::vector<wire_t> cycle;
-};
+//
+// Facts live on pairwise-disjoint slots (survivors are untouched by the
+// level, new halves are endpoints of its disjoint ops), so all of them
+// fit in one flat slot array of at most `width` entries.
 
-// Antipodal-butterfly match of `fact` against a level. ops_of_slot maps
-// slot -> op index in `ops` (or npos). On success, appends the matched
-// op indices (in fact-position order 0..m-1) to `pairs`.
+// Antipodal-butterfly match of the fact `cycle` against a level.
+// op_of_slot maps slot -> op index in `ops` (or kNoOp). On success,
+// appends the matched op indices (in fact-position order 0..m-1) to
+// `pairs`; on failure leaves `pairs` as it was.
 constexpr std::size_t kNoOp = std::size_t(-1);
 
-bool match_butterfly(const SegmentFact& fact,
+bool match_butterfly(std::span<const wire_t> cycle,
                      std::span<const LevelOp> ops,
                      std::span<const std::size_t> op_of_slot,
                      std::vector<std::size_t>& pairs) {
-  const std::size_t len = fact.cycle.size();
+  const std::size_t len = cycle.size();
   if (len < 2 || len % 2 != 0) return false;
   const std::size_t m = len / 2;
-  pairs.clear();
+  const std::size_t start = pairs.size();
   for (std::size_t i = 0; i < m; ++i) {
-    const wire_t a = fact.cycle[i];
-    const wire_t b = fact.cycle[i + m];
+    const wire_t a = cycle[i];
+    const wire_t b = cycle[i + m];
     const std::size_t oi = op_of_slot[a];
-    if (oi == kNoOp || oi != op_of_slot[b]) return false;
-    const LevelOp& op = ops[oi];
-    const bool covers = (op.min_slot == a && op.max_slot == b) ||
-                        (op.min_slot == b && op.max_slot == a);
-    if (!covers) return false;
+    const bool covers = oi != kNoOp && oi == op_of_slot[b] &&
+                        ((ops[oi].min_slot == a && ops[oi].max_slot == b) ||
+                         (ops[oi].min_slot == b && ops[oi].max_slot == a));
+    if (!covers) {
+      pairs.resize(start);
+      return false;
+    }
     pairs.push_back(oi);
   }
   return true;
 }
 
+bool has(std::span<const std::uint64_t> row, wire_t s) noexcept {
+  return (row[s / 64] >> (s % 64)) & 1u;
+}
+
+// A flat list of runs: run r is items[ends[r-1], ends[r]).
+template <typename T>
+struct Runs {
+  std::vector<T> items;
+  std::vector<std::uint32_t> ends;
+
+  std::size_t size() const noexcept { return ends.size(); }
+  std::span<const T> operator[](std::size_t r) const noexcept {
+    const std::uint32_t begin = r == 0 ? 0 : ends[r - 1];
+    return {items.data() + begin, ends[r] - begin};
+  }
+  void close() { ends.push_back(static_cast<std::uint32_t>(items.size())); }
+  void clear() noexcept {
+    items.clear();
+    ends.clear();
+  }
+  void reserve(std::size_t count) {
+    items.reserve(count);
+    ends.reserve(count);
+  }
+};
+
 // The per-network analysis engine shared by analyze() and
 // eliminate_redundant(): the pairwise relation plus the active segment
-// facts, advanced one level at a time.
+// facts, advanced one level at a time. Every buffer is sized for the
+// width up front, so stepping a level allocates nothing once the
+// relation's scratch exists (first level).
 class RelationEngine {
  public:
   explicit RelationEngine(wire_t width)
-      : relation_(width), op_of_slot_(width, kNoOp) {}
+      : relation_(width),
+        op_of_slot_(width, kNoOp),
+        pool_of_u_(width, kNoOp),
+        pool_of_v_(width, kNoOp),
+        unvisited_u_(BitMatrix::words_per_row(width), 0),
+        unvisited_v_(BitMatrix::words_per_row(width), 0) {
+    const std::size_t max_ops = width / 2;
+    facts_.reserve(width);
+    next_facts_.reserve(width);
+    splits_.reserve(max_ops);
+    for (auto* v : {&low_, &high_}) v->reserve(max_ops);
+    for (auto* v : {&consumed_, &hit_}) v->reserve(max_ops);
+    for (auto* v : {&pool_, &rest_, &component_, &stack_, &members_,
+                    &component_start_, &cursor_, &preds_, &order_})
+      v->reserve(max_ops + 1);
+  }
 
   OrderRelation& relation() noexcept { return relation_; }
 
   /// Advances by one level; `fates` receives the pre-level verdicts.
   void step(std::span<const LevelOp> ops, std::vector<OpFate>& fates) {
-    const wire_t width = relation_.width();
     fates.assign(ops.size(), OpFate::Effective);
     std::fill(op_of_slot_.begin(), op_of_slot_.end(), kNoOp);
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -88,56 +135,58 @@ class RelationEngine {
 
     // Phase 1: match active facts against this level (purely
     // structural), remember splits to perform after the transfer.
-    std::vector<SegmentFact> survivors;
-    std::vector<std::vector<std::size_t>> splits;  // op indices, pair order
-    std::vector<bool> consumed(ops.size(), false);
-    std::vector<std::size_t> pairs;
-    for (SegmentFact& fact : facts_) {
+    // Untouched facts survive; touched facts that are not a clean
+    // butterfly die.
+    next_facts_.clear();
+    splits_.clear();
+    for (std::size_t f = 0; f < facts_.size(); ++f) {
+      const auto cycle = facts_[f];
       bool touched = false;
-      for (wire_t s : fact.cycle) touched |= (op_of_slot_[s] != kNoOp);
+      for (wire_t s : cycle) touched |= (op_of_slot_[s] != kNoOp);
       if (!touched) {
-        survivors.push_back(std::move(fact));
-        continue;
+        next_facts_.items.insert(next_facts_.items.end(), cycle.begin(),
+                                 cycle.end());
+        next_facts_.close();
+      } else if (match_butterfly(cycle, ops, op_of_slot_, splits_.items)) {
+        splits_.close();
       }
-      if (match_butterfly(fact, ops, op_of_slot_, pairs)) {
-        for (std::size_t oi : pairs) consumed[oi] = true;
-        splits.push_back(pairs);
-      }
-      // Touched but not a clean butterfly: the fact dies.
     }
+    consumed_.assign(ops.size(), 0);
+    for (std::size_t oi : splits_.items) consumed_[oi] = 1;
 
     // Phase 2: seed new facts from proven chains (pre-level relation).
-    seed_blocks(ops, consumed, splits);
+    seed_blocks(ops);
 
     // Phase 3: pairwise transfer (also judges the fates pre-level).
     relation_.apply_level(ops, fates.data());
 
     // Phase 4: apply Batcher's split lemma for every matched or seeded
     // butterfly - cross facts into the relation, halves become facts.
-    facts_ = std::move(survivors);
-    bool injected = false;
-    for (const auto& block : splits) {
-      SegmentFact low;
-      SegmentFact high;
-      for (std::size_t oi : block) {
-        low.cycle.push_back(ops[oi].min_slot);
-        high.cycle.push_back(ops[oi].max_slot);
+    if (splits_.size() != 0) {
+      low_.clear();
+      high_.clear();
+      for (std::size_t oi : splits_.items) {
+        low_.push_back(ops[oi].min_slot);
+        high_.push_back(ops[oi].max_slot);
       }
-      for (wire_t l : low.cycle)
-        for (wire_t h : high.cycle)
-          if (l != h) {
-            relation_.add_fact(l, h);
-            injected = true;
+      relation_.add_blocks(low_, high_, splits_.ends);
+      std::uint32_t begin = 0;
+      for (const std::uint32_t end : splits_.ends) {
+        // Only even-length halves can meet another antipodal butterfly;
+        // length-2 halves are fully covered by the pairwise relation.
+        const std::uint32_t len = end - begin;
+        if (len >= 4 && len % 2 == 0) {
+          for (const auto* half : {&low_, &high_}) {
+            next_facts_.items.insert(next_facts_.items.end(),
+                                     half->begin() + begin,
+                                     half->begin() + end);
+            next_facts_.close();
           }
-      // Only even-length halves can meet another antipodal butterfly;
-      // length-2 halves are fully covered by the pairwise relation.
-      if (low.cycle.size() >= 4 && low.cycle.size() % 2 == 0) {
-        facts_.push_back(std::move(low));
-        facts_.push_back(std::move(high));
+        }
+        begin = end;
       }
     }
-    if (injected) relation_.close_transitively();
-    (void)width;
+    std::swap(facts_, next_facts_);
   }
 
  private:
@@ -147,13 +196,11 @@ class RelationEngine {
   // assignment (u, v) iff u_j <= u_j' and v_j' <= v_j; a block seeds
   // when one global assignment (u = min side or u = max side) makes
   // its comparability component a total order.
-  void seed_blocks(std::span<const LevelOp> ops,
-                   const std::vector<bool>& consumed,
-                   std::vector<std::vector<std::size_t>>& splits) {
-    std::vector<std::size_t> pool;
+  void seed_blocks(std::span<const LevelOp> ops) {
+    pool_.clear();
     for (std::size_t i = 0; i < ops.size(); ++i)
-      if (!consumed[i]) pool.push_back(i);
-    if (pool.size() < 2) return;
+      if (consumed_[i] == 0) pool_.push_back(i);
+    if (pool_.size() < 2) return;
 
     for (int flip = 0; flip < 2; ++flip) {
       // Endpoint assignment: u = min side (flip 0) or max side (flip 1).
@@ -167,76 +214,139 @@ class RelationEngine {
         return relation_.leq(u_of(i), u_of(j)) &&
                relation_.leq(v_of(j), v_of(i));
       };
-      // Connected components of the comparability graph.
-      std::vector<std::size_t> component(pool.size(), kNoOp);
+
+      // Connected components of the comparability graph, numbered in
+      // order of their first pool member. before(x, y) needs u_y in
+      // up[u_x] and v_y in down[v_x]; before(y, x) needs u_y in
+      // down[u_x] and v_y in up[v_x]. For each, the search walks the
+      // unvisited pool ops on the side with fewer of them (u- or
+      // v-slots) and tests the other side bit by bit.
+      for (std::size_t p = 0; p < pool_.size(); ++p) {
+        const wire_t u = u_of(pool_[p]);
+        const wire_t v = v_of(pool_[p]);
+        pool_of_u_[u] = p;
+        pool_of_v_[v] = p;
+        unvisited_u_[u / 64] |= std::uint64_t{1} << (u % 64);
+        unvisited_v_[v / 64] |= std::uint64_t{1} << (v % 64);
+      }
+      component_.assign(pool_.size(), kNoOp);
       std::size_t component_count = 0;
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        if (component[i] != kNoOp) continue;
-        std::vector<std::size_t> stack{i};
-        component[i] = component_count;
-        while (!stack.empty()) {
-          const std::size_t x = stack.back();
-          stack.pop_back();
-          for (std::size_t y = 0; y < pool.size(); ++y) {
-            if (component[y] != kNoOp) continue;
-            if (before(pool[x], pool[y]) || before(pool[y], pool[x])) {
-              component[y] = component_count;
-              stack.push_back(y);
-            }
+      const auto visit = [&](std::size_t p) {
+        const wire_t u = u_of(pool_[p]);
+        const wire_t v = v_of(pool_[p]);
+        component_[p] = component_count;
+        unvisited_u_[u / 64] &= ~(std::uint64_t{1} << (u % 64));
+        unvisited_v_[v / 64] &= ~(std::uint64_t{1} << (v % 64));
+        stack_.push_back(p);
+      };
+      // Visits every unvisited op y with u_y in u_set and v_y in v_set.
+      const auto link = [&](std::span<const std::uint64_t> u_set,
+                            std::span<const std::uint64_t> v_set) {
+        std::size_t u_count = 0;
+        std::size_t v_count = 0;
+        for (std::size_t w = 0; w < u_set.size(); ++w) {
+          u_count += std::size_t(std::popcount(u_set[w] & unvisited_u_[w]));
+          v_count += std::size_t(std::popcount(v_set[w] & unvisited_v_[w]));
+        }
+        const bool by_u = u_count <= v_count;
+        const auto walk = by_u ? u_set : v_set;
+        const auto test = by_u ? v_set : u_set;
+        const auto& unvisited = by_u ? unvisited_u_ : unvisited_v_;
+        const auto& pool_of = by_u ? pool_of_u_ : pool_of_v_;
+        for (std::size_t w = 0; w < walk.size(); ++w) {
+          for (std::uint64_t bits = walk[w] & unvisited[w]; bits != 0;
+               bits &= bits - 1) {
+            const std::size_t y =
+                pool_of[w * 64 + std::size_t(std::countr_zero(bits))];
+            if (has(test, by_u ? v_of(pool_[y]) : u_of(pool_[y]))) visit(y);
           }
+        }
+      };
+      for (std::size_t i = 0; i < pool_.size(); ++i) {
+        if (component_[i] != kNoOp) continue;
+        visit(i);
+        while (!stack_.empty()) {
+          const std::size_t x = stack_.back();
+          stack_.pop_back();
+          const wire_t ux = u_of(pool_[x]);
+          const wire_t vx = v_of(pool_[x]);
+          link(relation_.up_set(ux), relation_.down_set(vx));
+          link(relation_.down_set(ux), relation_.up_set(vx));
         }
         ++component_count;
       }
-      std::vector<bool> seeded(pool.size(), false);
-      for (std::size_t c = 0; c < component_count; ++c) {
-        std::vector<std::size_t> block;
-        for (std::size_t i = 0; i < pool.size(); ++i)
-          if (component[i] == c && !seeded[i]) block.push_back(pool[i]);
-        if (block.size() < 2) continue;
-        // Total-order check + chain sort by predecessor count.
-        std::vector<std::size_t> preds(block.size(), 0);
-        bool chain = true;
-        for (std::size_t x = 0; x < block.size() && chain; ++x) {
-          for (std::size_t y = x + 1; y < block.size() && chain; ++y) {
-            const bool xy = before(block[x], block[y]);
-            const bool yx = before(block[y], block[x]);
-            if (!xy && !yx) chain = false;
-            if (xy) ++preds[y];
-            if (yx) ++preds[x];
-          }
-        }
-        if (!chain) continue;
-        std::vector<std::size_t> order(block.size());
-        bool distinct = true;
-        std::vector<bool> hit(block.size(), false);
-        for (std::size_t x = 0; x < block.size(); ++x) {
-          if (preds[x] >= block.size() || hit[preds[x]]) {
-            distinct = false;
-            break;
-          }
-          hit[preds[x]] = true;
-          order[preds[x]] = block[x];
-        }
-        if (!distinct) continue;
-        // The level is this seeded fact's own antipodal butterfly:
-        // record it as a split directly.
-        splits.push_back(order);
-        for (std::size_t i = 0; i < pool.size(); ++i)
-          if (component[i] == c) seeded[i] = true;
-      }
+      // Every pool op was visited: unvisited_u_ / unvisited_v_ are all
+      // zero again.
+
+      // Each component's members, in pool order, grouped in one pass.
+      component_start_.assign(component_count + 1, 0);
+      for (std::size_t c : component_) ++component_start_[c + 1];
+      for (std::size_t c = 0; c < component_count; ++c)
+        component_start_[c + 1] += component_start_[c];
+      cursor_.assign(component_start_.begin(), component_start_.end() - 1);
+      members_.resize(pool_.size());
+      for (std::size_t i = 0; i < pool_.size(); ++i)
+        members_[cursor_[component_[i]]++] = pool_[i];
+
       // Ops seeded under one assignment are out of the pool for the
       // other (a block matches under exactly one in practice).
-      std::vector<std::size_t> rest;
-      for (std::size_t i = 0; i < pool.size(); ++i)
-        if (!seeded[i]) rest.push_back(pool[i]);
-      pool = std::move(rest);
-      if (pool.size() < 2) break;
+      rest_.clear();
+      for (std::size_t c = 0; c < component_count; ++c) {
+        const std::span<const std::size_t> block(
+            members_.data() + component_start_[c],
+            component_start_[c + 1] - component_start_[c]);
+        if (block.size() >= 2 && seed_chain(block, before)) continue;
+        rest_.insert(rest_.end(), block.begin(), block.end());
+      }
+      std::sort(rest_.begin(), rest_.end());
+      std::swap(pool_, rest_);
+      if (pool_.size() < 2) break;
     }
   }
 
+  // Total-order check and chain sort by predecessor count. On success
+  // the block, in chain order, is recorded as a split: the level is
+  // this seeded fact's own antipodal butterfly.
+  template <typename Before>
+  bool seed_chain(std::span<const std::size_t> block, const Before& before) {
+    preds_.assign(block.size(), 0);
+    for (std::size_t x = 0; x < block.size(); ++x) {
+      for (std::size_t y = x + 1; y < block.size(); ++y) {
+        const bool xy = before(block[x], block[y]);
+        const bool yx = before(block[y], block[x]);
+        if (!xy && !yx) return false;
+        if (xy) ++preds_[y];
+        if (yx) ++preds_[x];
+      }
+    }
+    hit_.assign(block.size(), 0);
+    order_.resize(block.size());
+    for (std::size_t x = 0; x < block.size(); ++x) {
+      if (preds_[x] >= block.size() || hit_[preds_[x]] != 0) return false;
+      hit_[preds_[x]] = 1;
+      order_[preds_[x]] = block[x];
+    }
+    splits_.items.insert(splits_.items.end(), order_.begin(), order_.end());
+    splits_.close();
+    return true;
+  }
+
   OrderRelation relation_;
-  std::vector<SegmentFact> facts_;
+  Runs<wire_t> facts_;          // active cyclic-bitonic facts
+  Runs<wire_t> next_facts_;     // the facts after this level
+  Runs<std::size_t> splits_;    // butterflies: op indices, pair order
+  std::vector<wire_t> low_;     // each split op's min slot
+  std::vector<wire_t> high_;    // each split op's max slot
+  std::vector<std::uint8_t> consumed_;
   std::vector<std::size_t> op_of_slot_;
+  // seed_blocks scratch.
+  std::vector<std::size_t> pool_of_u_;  // pool position of a u-slot
+  std::vector<std::size_t> pool_of_v_;  // pool position of a v-slot
+  std::vector<std::uint64_t> unvisited_u_;
+  std::vector<std::uint64_t> unvisited_v_;
+  std::vector<std::size_t> pool_, rest_, component_, stack_, members_,
+      component_start_, cursor_, preds_, order_;
+  std::vector<std::uint8_t> hit_;
 };
 
 // What the final relation proves about a network whose output position

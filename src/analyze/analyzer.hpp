@@ -1,7 +1,7 @@
 // Static network analyses on top of the ≤-relation domain
 // (analyze/order_relation.hpp): sorter certification, redundant-
 // comparator detection and elimination, structural diagnostics, and
-// subsumption fingerprints. Everything here is O(depth * n^2) bit
+// subsumption fingerprints. Everything here is O(depth * n^2 / 64) word
 // arithmetic over the comparator structure - no input is ever
 // evaluated, which is what lets certification reach widths no sweep or
 // frontier pass can (and what makes the Inconclusive verdict a real
@@ -112,8 +112,8 @@ struct AnalyzeReport {
   /// width * (width - 1) orientable ones.
   std::size_t relation_pairs = 0;
 
-  /// Exact and relabel-invariant hashes of the final relation state -
-  /// the prefix-subsumption primitive (see OrderRelation::dominates).
+  /// Exact and relabel-invariant hashes of the final relation state
+  /// (OrderRelation::fingerprint / invariant_fingerprint).
   std::pair<std::uint64_t, std::uint64_t> relation_fingerprint{0, 0};
   std::pair<std::uint64_t, std::uint64_t> subsumption_fingerprint{0, 0};
 

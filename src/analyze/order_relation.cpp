@@ -33,11 +33,14 @@ void fill_row(std::span<std::uint64_t> row, std::size_t n) {
   }
 }
 
-bool test_bit(std::span<const std::uint64_t> row, std::size_t c) noexcept {
-  return (row[c / 64] >> (c % 64)) & 1u;
+bool any_intersection(std::span<const std::uint64_t> a,
+                      std::span<const std::uint64_t> b) noexcept {
+  for (std::size_t w = 0; w < a.size(); ++w)
+    if ((a[w] & b[w]) != 0) return true;
+  return false;
 }
 
-void assign_bit(std::span<std::uint64_t> row, std::size_t c,
+void assign_bit(std::vector<std::uint64_t>& row, std::size_t c,
                 bool value) noexcept {
   const std::uint64_t mask = std::uint64_t{1} << (c % 64);
   if (value)
@@ -46,11 +49,66 @@ void assign_bit(std::span<std::uint64_t> row, std::size_t c,
     row[c / 64] &= ~mask;
 }
 
-bool any_intersection(std::span<const std::uint64_t> a,
-                      std::span<const std::uint64_t> b) noexcept {
-  for (std::size_t w = 0; w < a.size(); ++w)
-    if ((a[w] & b[w]) != 0) return true;
-  return false;
+// The two row rewrites a comparator induces: (p, q) := (p & q, p | q)
+// and its mirror (p, q) := (p | q, p & q).
+void meet_join(std::span<std::uint64_t> p, std::span<std::uint64_t> q) {
+  for (std::size_t w = 0; w < p.size(); ++w) {
+    const std::uint64_t a = p[w];
+    const std::uint64_t b = q[w];
+    p[w] = a & b;
+    q[w] = a | b;
+  }
+}
+
+void join_meet(std::span<std::uint64_t> p, std::span<std::uint64_t> q) {
+  meet_join(q, p);
+}
+
+// rows[r] |= add for every r in `which`.
+void or_into_rows(BitMatrix& rows, std::span<const std::uint64_t> which,
+                  std::span<const std::uint64_t> add) {
+  for (std::size_t w = 0; w < which.size(); ++w) {
+    for (std::uint64_t bits = which[w]; bits != 0; bits &= bits - 1) {
+      const auto row =
+          rows.row(w * 64 + std::size_t(std::countr_zero(bits)));
+      for (std::size_t k = 0; k < row.size(); ++k) row[k] |= add[k];
+    }
+  }
+}
+
+// The low `count` bits set (count <= 64).
+std::uint64_t low_bits(std::size_t count) noexcept {
+  return count >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+}
+
+// One round of the 64 x 64 bit-block transpose (bit c of a[r] = entry
+// (r, c)): swaps the off-diagonal J x J sub-blocks of every 2J x 2J
+// diagonal block in the first `extent` rows.
+template <std::size_t J>
+void transpose_round(std::uint64_t* a, std::size_t extent) noexcept {
+  // Bits whose index has bit log2(J) clear: the low J of every 2J.
+  constexpr std::uint64_t kLow =
+      ~std::uint64_t{0} / ((std::uint64_t{1} << J) + 1);
+  for (std::size_t base = 0; base < extent; base += 2 * J) {
+    std::uint64_t* lo = a + base;
+    for (std::size_t k = 0; k < J; ++k) {
+      const std::uint64_t t = ((lo[k] >> J) ^ lo[k + J]) & kLow;
+      lo[k] ^= t << J;
+      lo[k + J] ^= t;
+    }
+  }
+}
+
+// In-place transpose of the top-left extent x extent corner of a bit
+// block; extent is a power of two <= 64 and the block is zero outside
+// the corner.
+void transpose_block(std::uint64_t* a, std::size_t extent) noexcept {
+  if (extent > 32) transpose_round<32>(a, extent);
+  if (extent > 16) transpose_round<16>(a, extent);
+  if (extent > 8) transpose_round<8>(a, extent);
+  if (extent > 4) transpose_round<4>(a, extent);
+  if (extent > 2) transpose_round<2>(a, extent);
+  if (extent > 1) transpose_round<1>(a, extent);
 }
 
 }  // namespace
@@ -73,20 +131,37 @@ void BitMatrix::merge(const BitMatrix& other) {
   for (std::size_t i = 0; i < bits_.size(); ++i) bits_[i] |= other.bits_[i];
 }
 
-BitMatrix BitMatrix::transposed() const {
-  BitMatrix out(n_);
-  for (std::size_t r = 0; r < n_; ++r) {
-    const auto src = row(r);
-    for (std::size_t w = 0; w < words_; ++w) {
-      std::uint64_t word = src[w];
-      while (word != 0) {
-        const auto c = w * 64 + std::size_t(std::countr_zero(word));
-        out.set(c, r);
-        word &= word - 1;
+void BitMatrix::transpose_into(BitMatrix& out) const {
+  if (out.n_ != n_) out = BitMatrix(n_);
+  // Row block bi x word column bj here is row block bj x word column bi
+  // there. Rows past n_ read as zero, so below 64 wires one block of
+  // bit_ceil(n_) rows holds everything.
+  const std::size_t extent = std::bit_ceil(std::min<std::size_t>(n_, 64));
+  std::uint64_t block[64];
+  for (std::size_t bi = 0; bi < words_; ++bi) {
+    const std::size_t rows = std::min<std::size_t>(64, n_ - 64 * bi);
+    for (std::size_t bj = 0; bj < words_; ++bj) {
+      const std::size_t cols = std::min<std::size_t>(64, n_ - 64 * bj);
+      std::uint64_t any = 0;
+      std::uint64_t all = ~std::uint64_t{0};
+      for (std::size_t k = 0; k < rows; ++k) {
+        block[k] = bits_[(64 * bi + k) * words_ + bj];
+        any |= block[k];
+        all &= block[k];
       }
+      // Relations are mostly empty or full off their diagonal blocks.
+      if (any == 0 || all == low_bits(cols)) {
+        const std::uint64_t word = any == 0 ? 0 : low_bits(rows);
+        for (std::size_t k = 0; k < cols; ++k)
+          out.bits_[(64 * bj + k) * words_ + bi] = word;
+        continue;
+      }
+      std::fill(block + rows, block + extent, std::uint64_t{0});
+      transpose_block(block, extent);
+      for (std::size_t k = 0; k < cols; ++k)
+        out.bits_[(64 * bj + k) * words_ + bi] = block[k];
     }
   }
-  return out;
 }
 
 void BitMatrix::set_diagonal() {
@@ -97,23 +172,21 @@ OrderRelation::OrderRelation(wire_t width)
     : width_(width),
       up_(width),
       down_(width),
-      // zero_/one_ use only row 0 of a square matrix; width rows keeps
-      // BitMatrix single-shape and the waste is one matrix per analysis.
-      zero_(width),
-      one_(width) {
+      zero_(BitMatrix::words_per_row(width), 0),
+      one_(BitMatrix::words_per_row(width), 0) {
   up_.set_diagonal();
   down_.set_diagonal();
 }
 
 void OrderRelation::pin_zero(wire_t s) {
   if (s >= width_) throw std::out_of_range("OrderRelation::pin_zero: slot");
-  zero_.set(0, s);
+  assign_bit(zero_, s, true);
   inject_constant_rows();
 }
 
 void OrderRelation::pin_one(wire_t s) {
   if (s >= width_) throw std::out_of_range("OrderRelation::pin_one: slot");
-  one_.set(0, s);
+  assign_bit(one_, s, true);
   inject_constant_rows();
 }
 
@@ -134,134 +207,111 @@ void OrderRelation::apply_level(std::span<const LevelOp> ops, OpFate* fates) {
   }
   if (ops.empty()) return;
 
-  // Left-first expansion, in up-set form. Step 1 rewrites each row g
-  // from {y : g <= old y} to {v : g <= E_v} (E_v = the level's output
-  // expression for slot v); ops touch disjoint slots, so the rewrite is
-  // op-local and in place.
-  BitMatrix a = up_;
-  for (wire_t g = 0; g < width_; ++g) {
-    auto row = a.row(g);
-    for (const LevelOp& op : ops) {
-      const bool bm = test_bit(row, op.min_slot);
-      const bool bM = test_bit(row, op.max_slot);
-      assign_bit(row, op.min_slot, bm && bM);   // g <= min(m, M)
-      assign_bit(row, op.max_slot, bm || bM);   // g <= max(m, M)
-    }
+  // Left-first expansion, in up-set form. Step 1 rewrites each row g of
+  // up_ from {y : g <= old y} to {v : g <= E_v} (E_v = the level's
+  // output expression for slot v): g <= min(m, M) iff g <= m and
+  // g <= M, g <= max(m, M) iff g <= m or g <= M. That rewrites columns
+  // m and M of up_, i.e. rows m and M of its transpose down_; ops touch
+  // disjoint slots, so the rewrite is op-local and in place.
+  //
+  // Right-first expansion, in down-set form, is the exact dual: its
+  // step 1 rewrites rows of up_. down_ and up_ are each read once, by
+  // their own step 1, so both are rewritten in place.
+  for (const LevelOp& op : ops) {
+    meet_join(down_.row(op.min_slot), down_.row(op.max_slot));
+    join_meet(up_.row(op.min_slot), up_.row(op.max_slot));
   }
+  down_.transpose_into(left_);  // row g = {v : g <= E_v}
+  up_.transpose_into(right_);   // row g = {v : E_v <= g}
   // Step 2 rewrites rows from generators to expressions:
   // {v : E_u <= E_v} for E_u = min is the union of the operand rows,
-  // for max the intersection; identity slots keep their row.
-  std::vector<std::uint64_t> tmp_min(a.row_words());
-  std::vector<std::uint64_t> tmp_max(a.row_words());
+  // for max the intersection; identity slots keep their row. Dually
+  // for {v : E_v <= E_u}.
   for (const LevelOp& op : ops) {
-    const auto rm = a.row(op.min_slot);
-    const auto rM = a.row(op.max_slot);
-    for (std::size_t w = 0; w < rm.size(); ++w) {
-      tmp_min[w] = rm[w] | rM[w];
-      tmp_max[w] = rm[w] & rM[w];
-    }
-    std::copy(tmp_min.begin(), tmp_min.end(), a.row(op.min_slot).begin());
-    std::copy(tmp_max.begin(), tmp_max.end(), a.row(op.max_slot).begin());
-  }
-
-  // Right-first expansion, in down-set form (the exact dual).
-  BitMatrix b = down_;
-  for (wire_t g = 0; g < width_; ++g) {
-    auto row = b.row(g);
-    for (const LevelOp& op : ops) {
-      const bool bm = test_bit(row, op.min_slot);
-      const bool bM = test_bit(row, op.max_slot);
-      assign_bit(row, op.min_slot, bm || bM);   // min(m, M) <= g
-      assign_bit(row, op.max_slot, bm && bM);   // max(m, M) <= g
-    }
-  }
-  for (const LevelOp& op : ops) {
-    const auto rm = b.row(op.min_slot);
-    const auto rM = b.row(op.max_slot);
-    for (std::size_t w = 0; w < rm.size(); ++w) {
-      tmp_min[w] = rm[w] & rM[w];
-      tmp_max[w] = rm[w] | rM[w];
-    }
-    std::copy(tmp_min.begin(), tmp_min.end(), b.row(op.min_slot).begin());
-    std::copy(tmp_max.begin(), tmp_max.end(), b.row(op.max_slot).begin());
+    join_meet(left_.row(op.min_slot), left_.row(op.max_slot));
+    meet_join(right_.row(op.min_slot), right_.row(op.max_slot));
   }
 
   // Union of both orders; min <= min facts come from the right-first
   // pass, max <= max facts from the left-first pass. With both, each
   // level's result is exactly the one-level semantic consequence of the
   // previous relation, which also keeps it transitively closed.
-  up_ = a;
-  up_.merge(b.transposed());
+  right_.transpose_into(up_);
+  up_.merge(left_);
   up_.set_diagonal();
+  left_.transpose_into(down_);
+  down_.merge(right_);
+  down_.set_diagonal();
 
   // Constant transfer: min is 0 if either operand is, 1 only if both
   // are; max dually.
-  {
-    auto zr = zero_.row(0);
-    auto or_ = one_.row(0);
-    for (const LevelOp& op : ops) {
-      const bool zm = test_bit(zr, op.min_slot);
-      const bool zM = test_bit(zr, op.max_slot);
-      const bool om = test_bit(or_, op.min_slot);
-      const bool oM = test_bit(or_, op.max_slot);
-      assign_bit(zr, op.min_slot, zm || zM);
-      assign_bit(zr, op.max_slot, zm && zM);
-      assign_bit(or_, op.min_slot, om && oM);
-      assign_bit(or_, op.max_slot, om || oM);
-    }
+  for (const LevelOp& op : ops) {
+    const bool zm = known_zero(op.min_slot);
+    const bool zM = known_zero(op.max_slot);
+    const bool om = known_one(op.min_slot);
+    const bool oM = known_one(op.max_slot);
+    assign_bit(zero_, op.min_slot, zm || zM);
+    assign_bit(zero_, op.max_slot, zm && zM);
+    assign_bit(one_, op.min_slot, om && oM);
+    assign_bit(one_, op.max_slot, om || oM);
   }
 
   inject_constant_rows();
 }
 
-void OrderRelation::add_fact(wire_t x, wire_t y) {
-  if (x >= width_ || y >= width_)
-    throw std::out_of_range("OrderRelation::add_fact: slot");
-  up_.set(x, y);
-}
-
-void OrderRelation::close_transitively() {
-  for (wire_t k = 0; k < width_; ++k) {
-    const auto via = up_.row(k);
-    // Copy row k: a row may extend itself when it reaches k.
-    std::vector<std::uint64_t> via_copy(via.begin(), via.end());
-    for (wire_t i = 0; i < width_; ++i) {
-      if (!up_.test(i, k)) continue;
-      auto row = up_.row(i);
-      for (std::size_t w = 0; w < row.size(); ++w) row[w] |= via_copy[w];
+void OrderRelation::add_blocks(std::span<const wire_t> low,
+                               std::span<const wire_t> high,
+                               std::span<const std::uint32_t> ends) {
+  if (low.size() != high.size() ||
+      (ends.empty() ? !low.empty() : ends.back() != low.size()))
+    throw std::invalid_argument("OrderRelation::add_blocks: block shape");
+  for (std::size_t i = 0; i < low.size(); ++i)
+    if (low[i] >= width_ || high[i] >= width_)
+      throw std::out_of_range("OrderRelation::add_blocks: slot");
+  if (ends.empty()) return;
+  const std::size_t words = up_.row_words();
+  std::uint32_t begin = 0;
+  for (const std::uint32_t end : ends) {
+    below_.assign(words, 0);  // L*
+    above_.assign(words, 0);  // H*
+    for (std::uint32_t i = begin; i < end; ++i) {
+      const auto d = down_.row(low[i]);
+      const auto u = up_.row(high[i]);
+      for (std::size_t w = 0; w < words; ++w) {
+        below_[w] |= d[w];
+        above_[w] |= u[w];
+      }
     }
+    or_into_rows(up_, below_, above_);
+    or_into_rows(down_, above_, below_);
+    begin = end;
   }
-  up_.set_diagonal();
   inject_constant_rows();
 }
 
 void OrderRelation::inject_constant_rows() {
-  // The callers mutate up_ first; restore the transpose before using
-  // down_ for enrichment.
-  down_ = up_.transposed();
-  const auto zr = zero_.row(0);
-  const auto onr = one_.row(0);
   bool any_zero = false;
   bool any_one = false;
-  for (std::uint64_t w : zr) any_zero |= (w != 0);
-  for (std::uint64_t w : onr) any_one |= (w != 0);
+  for (std::uint64_t w : zero_) any_zero |= (w != 0);
+  for (std::uint64_t w : one_) any_one |= (w != 0);
   if (!any_zero && !any_one) return;
   // Enrich first: anything proven <= a 0-slot is itself 0, anything
   // proven >= a 1-slot is itself 1 (the relation is transitively
   // closed, so one pass reaches the fixpoint).
   for (wire_t s = 0; s < width_; ++s) {
-    if (!known_zero(s) && any_intersection(up_.row(s), zr)) zero_.set(0, s);
-    if (!known_one(s) && any_intersection(down_.row(s), onr)) one_.set(0, s);
+    if (!known_zero(s) && any_intersection(up_.row(s), zero_))
+      assign_bit(zero_, s, true);
+    if (!known_one(s) && any_intersection(down_.row(s), one_))
+      assign_bit(one_, s, true);
   }
   // A 0-slot is below everything; a 1-slot is above everything.
   for (wire_t s = 0; s < width_; ++s) {
     if (known_zero(s)) fill_row(up_.row(s), width_);
     auto row = up_.row(s);
-    const auto ones = one_.row(0);
-    for (std::size_t w = 0; w < row.size(); ++w) row[w] |= ones[w];
+    for (std::size_t w = 0; w < row.size(); ++w) row[w] |= one_[w];
   }
   up_.set_diagonal();
-  down_ = up_.transposed();
+  up_.transpose_into(down_);
 }
 
 std::size_t OrderRelation::pair_count() const noexcept {
@@ -279,34 +329,24 @@ std::optional<std::vector<wire_t>> OrderRelation::total_order_ranks() const {
   std::vector<wire_t> ranks(width_, 0);
   std::vector<bool> seen(width_, false);
   for (wire_t x = 0; x < width_; ++x) {
-    std::size_t below = 0;
-    for (wire_t y = 0; y < width_; ++y) {
-      if (y == x) continue;
-      const bool xy = leq(x, y);
-      const bool yx = leq(y, x);
-      // Incomparable pair: not a total order. Forced-equal pair: not a
-      // STRICT total order; ranks would collide, so certification up to
-      // relabeling does not follow and we stay inconclusive.
-      if (!xy && !yx) return std::nullopt;
-      if (xy && yx) return std::nullopt;
-      if (yx) ++below;
+    // Every other slot must be above or below x, and none both. An
+    // incomparable pair is not a total order; a forced-equal pair is
+    // not a STRICT total order - ranks would collide, so certification
+    // up to relabeling does not follow and we stay inconclusive.
+    const auto up = up_.row(x);
+    const auto down = down_.row(x);
+    std::size_t comparable = 0;
+    std::size_t both = 0;
+    for (std::size_t w = 0; w < up.size(); ++w) {
+      comparable += std::size_t(std::popcount(up[w] | down[w]));
+      both += std::size_t(std::popcount(up[w] & down[w]));
     }
-    ranks[x] = static_cast<wire_t>(below);
-    if (ranks[x] >= width_ || seen[ranks[x]]) return std::nullopt;
+    if (comparable != width_ || both != 1) return std::nullopt;
+    ranks[x] = static_cast<wire_t>(down_.row_count(x) - 1);
+    if (seen[ranks[x]]) return std::nullopt;
     seen[ranks[x]] = true;
   }
   return ranks;
-}
-
-bool OrderRelation::dominates(const OrderRelation& other) const {
-  if (other.width_ != width_) return false;
-  for (wire_t x = 0; x < width_; ++x) {
-    const auto mine = up_.row(x);
-    const auto theirs = other.up_.row(x);
-    for (std::size_t w = 0; w < mine.size(); ++w)
-      if ((theirs[w] & ~mine[w]) != 0) return false;
-  }
-  return true;
 }
 
 std::pair<std::uint64_t, std::uint64_t> OrderRelation::fingerprint() const {
@@ -318,10 +358,8 @@ std::pair<std::uint64_t, std::uint64_t> OrderRelation::fingerprint() const {
   };
   for (wire_t x = 0; x < width_; ++x)
     for (std::uint64_t w : up_.row(x)) absorb(w);
-  if (width_ != 0) {
-    for (std::uint64_t w : zero_.row(0)) absorb(w);
-    for (std::uint64_t w : one_.row(0)) absorb(w);
-  }
+  for (std::uint64_t w : zero_) absorb(w);
+  for (std::uint64_t w : one_) absorb(w);
   return {h1, h2};
 }
 
@@ -335,14 +373,23 @@ std::pair<std::uint64_t, std::uint64_t> OrderRelation::invariant_fingerprint()
                 std::uint64_t(down_.row_count(x));
   std::uint64_t sum = 0;
   std::uint64_t xr = 0;
+  std::vector<std::uint64_t> up_neighbors;
+  std::vector<std::uint64_t> down_neighbors;
+  up_neighbors.reserve(width_);
+  down_neighbors.reserve(width_);
+  const auto neighbor_degrees = [&](std::span<const std::uint64_t> row,
+                                    wire_t self,
+                                    std::vector<std::uint64_t>& out) {
+    out.clear();
+    for (std::size_t w = 0; w < row.size(); ++w)
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t y = w * 64 + std::size_t(std::countr_zero(bits));
+        if (y != self) out.push_back(degree[y]);
+      }
+  };
   for (wire_t x = 0; x < width_; ++x) {
-    std::vector<std::uint64_t> up_neighbors;
-    std::vector<std::uint64_t> down_neighbors;
-    for (wire_t y = 0; y < width_; ++y) {
-      if (y == x) continue;
-      if (leq(x, y)) up_neighbors.push_back(degree[y]);
-      if (leq(y, x)) down_neighbors.push_back(degree[y]);
-    }
+    neighbor_degrees(up_.row(x), x, up_neighbors);
+    neighbor_degrees(down_.row(x), x, down_neighbors);
     std::sort(up_neighbors.begin(), up_neighbors.end());
     std::sort(down_neighbors.begin(), down_neighbors.end());
     std::uint64_t sig = mix64(degree[x]);

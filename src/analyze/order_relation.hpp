@@ -28,8 +28,11 @@
 //
 // Everything is bitset arithmetic: the relation is an n x n bit matrix
 // kept in both row orientations (up_[x] = {y : x <= y}, down_[y] =
-// {x : x <= y}), and one level costs O(n^2 / 64 + n * ops) word
-// operations - O(depth * n^2) for a whole network, no simulation.
+// {x : x <= y}). A level's column rewrites of one orientation are row
+// rewrites of the other, so each expansion order is a row pass, a
+// blocked 64 x 64 transpose and a second row pass: O(n^2 / 64) word
+// operations per level, O(depth * n^2 / 64) for a whole network, no
+// simulation.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +77,9 @@ class BitMatrix {
 
   /// this |= other (same dimensions required).
   void merge(const BitMatrix& other);
-  /// Returns the transpose.
-  BitMatrix transposed() const;
+  /// out = transpose of this, by 64 x 64 word blocks. Reuses out's
+  /// storage when it already has this size.
+  void transpose_into(BitMatrix& out) const;
   /// Sets every diagonal entry.
   void set_diagonal();
 
@@ -123,9 +127,22 @@ class OrderRelation {
   /// Proven: value at slot x <= value at slot y on every input.
   bool leq(wire_t x, wire_t y) const noexcept { return up_.test(x, y); }
 
+  /// The proven up-set {y : x <= y} and down-set {x : x <= y} as
+  /// bitset rows of BitMatrix::words_per_row(width()) words.
+  std::span<const std::uint64_t> up_set(wire_t x) const noexcept {
+    return up_.row(x);
+  }
+  std::span<const std::uint64_t> down_set(wire_t y) const noexcept {
+    return down_.row(y);
+  }
+
   /// Constant facts: slot pinned to 0 / to 1 on every input.
-  bool known_zero(wire_t s) const noexcept { return zero_.test(0, s); }
-  bool known_one(wire_t s) const noexcept { return one_.test(0, s); }
+  bool known_zero(wire_t s) const noexcept {
+    return (zero_[s / 64] >> (s % 64)) & 1u;
+  }
+  bool known_one(wire_t s) const noexcept {
+    return (one_[s / 64] >> (s % 64)) & 1u;
+  }
 
   /// Pins an INPUT slot to a constant before any level is applied
   /// (truncated-input analyses; a 0 slot is <= everything, a 1 slot is
@@ -138,17 +155,19 @@ class OrderRelation {
   /// receives each op's fate as judged against the PRE-level relation.
   void apply_level(std::span<const LevelOp> ops, OpFate* fates = nullptr);
 
-  /// Adds an externally proven fact (value at x <= value at y). The
-  /// relation is left UNCLOSED; callers batch add_fact calls and then
-  /// run close_transitively once. The analyzer uses this to inject the
-  /// consequences of Batcher's bitonic split lemma, which the pairwise
-  /// transfer alone cannot see (analyze/analyzer.cpp).
-  void add_fact(wire_t x, wire_t y);
-
-  /// Restores the invariants after add_fact: transitive closure
-  /// (bitset Floyd-Warshall, O(n^3 / 64)), reflexivity, constant
-  /// enrichment, and the down_ transpose.
-  void close_transitively();
+  /// Adds externally proven facts: for each block b, every low slot is
+  /// <= every high slot, where block b is [ends[b-1], ends[b]) of both
+  /// `low` and `high` (ends[-1] = 0). The analyzer uses this to inject
+  /// the consequences of Batcher's bitonic split lemma, which the
+  /// pairwise transfer alone cannot see (analyze/analyzer.cpp).
+  ///
+  /// Closing over one block is a rank-one update: with L* the union of
+  /// the low slots' down-sets and H* the union of the high slots'
+  /// up-sets, the closure adds exactly L* x H* (a path through several
+  /// new facts shortcuts through one). O(n^2 / 64) per block; constant
+  /// facts are enriched once, after the last block.
+  void add_blocks(std::span<const wire_t> low, std::span<const wire_t> high,
+                  std::span<const std::uint32_t> ends);
 
   /// Proven facts beyond reflexivity (x <= y with x != y).
   std::size_t pair_count() const noexcept;
@@ -165,11 +184,6 @@ class OrderRelation {
   /// nullopt. A strict total order that is not the output chain means
   /// the network sorts up to a fixed output relabeling.
   std::optional<std::vector<wire_t>> total_order_ranks() const;
-
-  /// R(this) ⊇ R(other): every fact other proved, this proves too. A
-  /// prefix whose relation dominates another's is at least as close to
-  /// sorted on every input - the subsumption primitive for search.
-  bool dominates(const OrderRelation& other) const;
 
   /// Exact 128-bit content hash of (width, relation, constant facts):
   /// equal states hash equal. Not relabel-invariant, and deliberately
@@ -190,9 +204,15 @@ class OrderRelation {
 
   wire_t width_ = 0;
   BitMatrix up_;    // row x = {y : x <= y}
-  BitMatrix down_;  // row y = {x : x <= y}
-  BitMatrix zero_;  // 1 x n: slots pinned to 0
-  BitMatrix one_;   // 1 x n: slots pinned to 1
+  BitMatrix down_;  // row y = {x : x <= y}, always the transpose of up_
+  std::vector<std::uint64_t> zero_;  // slots pinned to 0
+  std::vector<std::uint64_t> one_;   // slots pinned to 1
+  // Scratch sized on first use and reused: apply_level's two expansion
+  // orders and add_blocks' L* / H* rows.
+  BitMatrix left_;
+  BitMatrix right_;
+  std::vector<std::uint64_t> below_;
+  std::vector<std::uint64_t> above_;
 };
 
 }  // namespace shufflebound

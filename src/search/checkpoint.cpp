@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "search/level_space.hpp"
 #include "util/crc32.hpp"
 
 namespace shufflebound {
@@ -48,6 +49,8 @@ struct Reader {
     pos += 8;
     return v;
   }
+
+  std::size_t remaining() const noexcept { return size - pos; }
 };
 
 void set_error(std::string* error, const char* message) {
@@ -142,16 +145,28 @@ std::optional<SearchCheckpoint> load_checkpoint(const std::string& path,
   cp.target_depth = r.u32();
   cp.next_prefix = r.u64();
   for (std::uint64_t& s : cp.stats) s = r.u64();
-  if (!r.ok || cp.width == 0 || cp.width > 24) {
+  if (!r.ok || cp.width == 0 || cp.width > kSearchWidthCap) {
     set_error(error, "load_checkpoint: corrupt header");
     return std::nullopt;
   }
+  // Every count read from the file is bounded by the bytes that would
+  // have to follow it before anything is reserved, so a hostile count
+  // costs a rejection, not an allocation.
   const std::uint64_t state_count = r.u64();
   const std::size_t words = OutputSet::word_count(cp.width);
+  const std::size_t min_state_bytes = 4 + 8 * words;
+  if (!r.ok || state_count > r.remaining() / min_state_bytes) {
+    set_error(error, "load_checkpoint: state count exceeds payload");
+    return std::nullopt;
+  }
   cp.states.reserve(std::size_t(state_count));
   cp.histories.reserve(std::size_t(state_count));
   for (std::uint64_t i = 0; i < state_count && r.ok; ++i) {
     const std::uint32_t len = r.u32();
+    if (!r.ok || len > r.remaining() / 4) {
+      set_error(error, "load_checkpoint: history length exceeds payload");
+      return std::nullopt;
+    }
     std::vector<std::uint32_t> history;
     history.reserve(len);
     for (std::uint32_t k = 0; k < len && r.ok; ++k)

@@ -18,6 +18,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -37,6 +41,28 @@
 #include "service/json.hpp"
 #include "sim/bitparallel.hpp"
 #include "util/prng.hpp"
+
+// Heap allocations made by this thread: the relation's level steps must
+// make none once their scratch exists.
+namespace {
+thread_local std::size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC cannot see that the replaced operator new above is malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace shufflebound {
 namespace {
@@ -411,6 +437,379 @@ TEST(AnalyzeService, ParallelAnalyzeJobsMatchDirectVerdicts) {
     ASSERT_NE(verdict, nullptr);
     EXPECT_EQ(verdict->as_string(), expected[i]);
   }
+}
+
+// --- Multi-word pins -----------------------------------------------------
+
+/// FNV-1a over 64-bit values: a compact digest of a report's lists.
+struct Digest {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  }
+  void add(const OpFinding& f) {
+    add(f.level);
+    add(f.op_in_level);
+    add(f.min_slot);
+    add(f.max_slot);
+    add(static_cast<std::uint64_t>(f.fate));
+  }
+};
+
+std::string hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+/// Everything the analyzer reports about `net` (pinned with `options`)
+/// and, unpinned, what elimination found, in one comparable line.
+std::string analyzer_pin(const ComparatorNetwork& net,
+                         const AnalyzeOptions& options) {
+  const AnalyzeReport report = analyze(net, options);
+  Digest lists;
+  for (wire_t r : report.relabel_ranks) lists.add(r);
+  for (const OpFinding& f : report.trivial_ops) lists.add(f);
+  for (std::uint32_t l : report.dead_levels) lists.add(l);
+  for (wire_t s : report.untouched_slots) lists.add(s);
+  std::string line = std::string(analyze_verdict_name(report.verdict)) +
+                     " pairs=" + std::to_string(report.relation_pairs) +
+                     " trivial=" + std::to_string(report.trivial_ops.size()) +
+                     " fp=" + hex(report.relation_fingerprint.first) +
+                     hex(report.relation_fingerprint.second) +
+                     " sfp=" + hex(report.subsumption_fingerprint.first) +
+                     hex(report.subsumption_fingerprint.second) +
+                     " lists=" + hex(lists.h);
+  if (options.zero_inputs.empty() && options.one_inputs.empty()) {
+    const EliminationResult elim = eliminate_redundant(net);
+    Digest found;
+    for (const OpFinding& f : elim.findings) found.add(f);
+    for (wire_t r : elim.relabel_ranks) found.add(r);
+    line += std::string(" elim=") + analyze_verdict_name(elim.verdict) +
+            "/" + std::to_string(elim.removed) + "/" +
+            std::to_string(elim.exchanged) + "/" + hex(found.h);
+  }
+  return line;
+}
+
+/// Widths past one 64-bit word per relation row, including partial last
+/// words: every reported value is pinned as the word-at-a-time reference
+/// implementation computed it, so a change to the relation's word
+/// layout, transposes or closure cannot move any verdict, finding or
+/// fingerprint. Each network runs free and with about a tenth of its
+/// inputs pinned to 0 and another tenth to 1.
+TEST(AnalyzePins, MultiWordReportsMatchTheReference) {
+  std::vector<std::pair<std::string, ComparatorNetwork>> nets;
+  for (const wire_t n : {128, 256}) {
+    nets.emplace_back("bitonic-" + std::to_string(n),
+                      bitonic_sorting_network(n));
+    nets.emplace_back("oem-" + std::to_string(n),
+                      odd_even_mergesort_network(n));
+  }
+  for (const wire_t n : {65, 129, 192})
+    nets.emplace_back("brick-" + std::to_string(n), brick_sorter(n));
+  nets.emplace_back("broken-bitonic-128",
+                    drop_one_comparator(bitonic_sorting_network(128), 5));
+  nets.emplace_back("bitonic-128-desc-tail",
+                    with_tail(bitonic_sorting_network(128),
+                              GateOp::CompareDesc));
+  nets.emplace_back("oem-128-exchange-tail",
+                    with_tail(odd_even_mergesort_network(128),
+                              GateOp::Exchange));
+  nets.emplace_back("brick-65-repeat-tail",
+                    with_tail(brick_sorter(65), GateOp::CompareAsc));
+  for (const wire_t n : {63, 64, 65, 100, 129, 200}) {
+    Prng rng(0x5EED0000u + n);
+    nets.emplace_back("random-" + std::to_string(n),
+                      random_network(rng, n, 24));
+  }
+
+  const char* const kExpected[] = {
+      "bitonic-128 free sorting pairs=8128 trivial=0"
+      " fp=933bdef6d411e8af8e2ca4520f3ffb31"
+      " sfp=ed618b9b8a8bbc6020b7f0d3044aa6fa"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "bitonic-128 pinned inconclusive pairs=5987 trivial=525"
+      " fp=d93e2fb617ddafde67724555ed2ee7af"
+      " sfp=e333c3dc9c9beb6acb2105995b5363f7"
+      " lists=e0787a5fa1584db2",
+      "oem-128 free sorting pairs=8128 trivial=0"
+      " fp=933bdef6d411e8af8e2ca4520f3ffb31"
+      " sfp=ed618b9b8a8bbc6020b7f0d3044aa6fa"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "oem-128 pinned sorting pairs=8260 trivial=305"
+      " fp=41aac412a5b4a18178bae2bf47b61352"
+      " sfp=115a8d9ec61db24de3e96e4c92ed1943"
+      " lists=89d382e2ecb9bb4c",
+      "bitonic-256 free sorting pairs=32640 trivial=0"
+      " fp=4fce9ee88dce83fb972a9d6699af00e3"
+      " sfp=d4819c3b187c781c6a8fd5f19860006e"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "bitonic-256 pinned inconclusive pairs=23030 trivial=1351"
+      " fp=8838d010b1b1b84239a28b88dc3b7813"
+      " sfp=446e496b62c8758f75e81fbe98e1d4f4"
+      " lists=303eb5b3f2361367",
+      "oem-256 free sorting pairs=32640 trivial=0"
+      " fp=4fce9ee88dce83fb972a9d6699af00e3"
+      " sfp=d4819c3b187c781c6a8fd5f19860006e"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "oem-256 pinned sorting pairs=33240 trivial=816"
+      " fp=d8f8139e7348121d9d45d3e23eb88913"
+      " sfp=1312eea1debe60d092149300adda0e0b"
+      " lists=d71da7a795659a8e",
+      "brick-65 free sorting pairs=2080 trivial=0"
+      " fp=96731f0c15b4b76222d65ea9652c1c2c"
+      " sfp=c9ac7875c699dfb8fc03febfebaf85b3"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "brick-65 pinned sorting pairs=2110 trivial=702"
+      " fp=dc7f9f88288435133d47631c3cd09939"
+      " sfp=daac999a6dfa3a99f3a0d6eab4440751"
+      " lists=901cd820aa0b1df3",
+      "brick-129 free sorting pairs=8256 trivial=0"
+      " fp=57f8af90a6ef79a147cc38e1be38a231"
+      " sfp=181683e1a0ee16d220d12c76d60da66c"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "brick-129 pinned sorting pairs=8388 trivial=2796"
+      " fp=74d87ac73a26eea29ca4c3a7f40a7474"
+      " sfp=16e58e23650707c2afb226cbe3e54630"
+      " lists=6010aba9c3be669e",
+      "brick-192 free sorting pairs=18336 trivial=0"
+      " fp=b530bff67dda3e39487f878e9ae5e099"
+      " sfp=150dcd9ad2c3bded8f6f9ba33588819b"
+      " lists=cbf29ce484222325 elim=sorting/0/0/cbf29ce484222325",
+      "brick-192 pinned sorting pairs=18678 trivial=6555"
+      " fp=ce1da1b862ac550295f42fa1f47b4881"
+      " sfp=937407c03fe5802ac5c0bef21364e94a"
+      " lists=9ec9dddad5989288",
+      "broken-bitonic-128 free inconclusive pairs=5141 trivial=0"
+      " fp=6d988013ecf575f8af48c26151d2f3ef"
+      " sfp=902c65ecf04945b270b6caa15771891a"
+      " lists=cbf29ce484222325 elim=inconclusive/0/0/cbf29ce484222325",
+      "broken-bitonic-128 pinned inconclusive pairs=5987 trivial=525"
+      " fp=d93e2fb617ddafde67724555ed2ee7af"
+      " sfp=e333c3dc9c9beb6acb2105995b5363f7"
+      " lists=42a4c9f8088fb9e8",
+      "bitonic-128-desc-tail free sorting-up-to-relabel pairs=8128 trivial=64"
+      " fp=1f27d0619400db7f2365a85b470bd841"
+      " sfp=ed618b9b8a8bbc6020b7f0d3044aa6fa"
+      " lists=2cc6e1f9e2189b25 elim=sorting-up-to-relabel/0/64/8edea515d7789b25",
+      "bitonic-128-desc-tail pinned inconclusive pairs=5987 trivial=589"
+      " fp=d18f3fd67618f8c61081c5626e943202"
+      " sfp=e333c3dc9c9beb6acb2105995b5363f7"
+      " lists=9a8cddacdd662372",
+      "oem-128-exchange-tail free sorting-up-to-relabel pairs=8128 trivial=0"
+      " fp=933bdef6d411e8af8e2ca4520f3ffb31"
+      " sfp=ed618b9b8a8bbc6020b7f0d3044aa6fa"
+      " lists=0a68fbbef745bf25 elim=sorting-up-to-relabel/0/0/0a68fbbef745bf25",
+      "oem-128-exchange-tail pinned inconclusive pairs=8260 trivial=305"
+      " fp=41aac412a5b4a18178bae2bf47b61352"
+      " sfp=115a8d9ec61db24de3e96e4c92ed1943"
+      " lists=89d382e2ecb9bb4c",
+      "brick-65-repeat-tail free sorting pairs=2080 trivial=32"
+      " fp=96731f0c15b4b76222d65ea9652c1c2c"
+      " sfp=c9ac7875c699dfb8fc03febfebaf85b3"
+      " lists=a3d95a1142d839e4 elim=sorting/32/0/0da67816df98a525",
+      "brick-65-repeat-tail pinned sorting pairs=2110 trivial=734"
+      " fp=dc7f9f88288435133d47631c3cd09939"
+      " sfp=daac999a6dfa3a99f3a0d6eab4440751"
+      " lists=30542d40d61f79f2",
+      "random-63 free inconclusive pairs=341 trivial=33"
+      " fp=5b9b4533b49ae326e92a98411b227c6e"
+      " sfp=6975e58d683c4892fa9dcdcac7cee529"
+      " lists=af6f6837957778e4 elim=inconclusive/10/23/83dbe154b4160476",
+      "random-63 pinned inconclusive pairs=936 trivial=144"
+      " fp=9615f852560d5e42e183b21f1ad99d68"
+      " sfp=3caa9305f2ca57da2e4b9295ddbb6efe"
+      " lists=b161909e639466ad",
+      "random-64 free inconclusive pairs=304 trivial=30"
+      " fp=d3fb966399fb7a7cb3c87b031b9f6f34"
+      " sfp=92d1ffe15c59ed4b686067fcc3011863"
+      " lists=df0ab3dd984ffeed elim=inconclusive/13/17/df0ab3dd984ffeed",
+      "random-64 pinned inconclusive pairs=924 trivial=127"
+      " fp=fcd47f9a91db07aa7d7b04fc812371b4"
+      " sfp=2e59dfbac399b8ffd403b1a054172a50"
+      " lists=b5c9bd1b797fa33f",
+      "random-65 free inconclusive pairs=299 trivial=28"
+      " fp=87ebca891e55d3fd890492cf8167bfa2"
+      " sfp=5acb84b99e940b53068927599e4b3d57"
+      " lists=b32a1139cb981770 elim=inconclusive/12/16/b32a1139cb981770",
+      "random-65 pinned inconclusive pairs=942 trivial=117"
+      " fp=5a4a06cf6a43041f6fa9a76986e01045"
+      " sfp=8f6396ced0a6295a92baf3844bc43dfd"
+      " lists=7a36be9b980cf3ca",
+      "random-100 free inconclusive pairs=573 trivial=31"
+      " fp=ef55b35d90d7e8702d67fe6817932078"
+      " sfp=7b67407da146843b44b37d869741e471"
+      " lists=d4312dd1cb725103 elim=inconclusive/15/16/d4312dd1cb725103",
+      "random-100 pinned inconclusive pairs=2255 trivial=221"
+      " fp=48d1be358b53f07a72837432312f2e1c"
+      " sfp=3efeae00a30b0276f2301c0261603152"
+      " lists=fef778fcf3defa18",
+      "random-129 free inconclusive pairs=608 trivial=24"
+      " fp=be9ece16209b0150f32c375c52f905de"
+      " sfp=6b11de5aea02bfa656db71743d4630d2"
+      " lists=79e52bd2ddb55def elim=inconclusive/8/16/79e52bd2ddb55def",
+      "random-129 pinned inconclusive pairs=3320 trivial=236"
+      " fp=5a48bd79bbfe8b2f634ba27984038053"
+      " sfp=844c6ee95bb0685b2b65529dcc68b1f3"
+      " lists=df227bee4b8a9831",
+      "random-200 free inconclusive pairs=1093 trivial=32"
+      " fp=ebe726789e328e6a97492f1a2a007224"
+      " sfp=92ae1f2d837a4df6fbc73d6bc03b9d04"
+      " lists=8e5487855fe2b14f elim=inconclusive/18/14/8e5487855fe2b14f",
+      "random-200 pinned inconclusive pairs=8255 trivial=423"
+      " fp=845384831cee316e0a61840c062d2c29"
+      " sfp=080df5ad2ad88765ce1ec0947279996b"
+      " lists=4a927e0bd9ee9abb",
+  };
+
+  std::size_t row = 0;
+  for (const auto& [name, net] : nets) {
+    Prng rng(0x9140000u + net.width());
+    std::vector<wire_t> wires(net.width());
+    std::iota(wires.begin(), wires.end(), wire_t{0});
+    shuffle_in_place(wires, rng);
+    const std::size_t k = net.width() / 10;
+    AnalyzeOptions pinned;
+    pinned.zero_inputs.assign(wires.begin(), wires.begin() + k);
+    pinned.one_inputs.assign(wires.begin() + k, wires.begin() + 2 * k);
+    for (const AnalyzeOptions& options : {AnalyzeOptions{}, pinned}) {
+      const std::string label =
+          name + (options.zero_inputs.empty() ? " free" : " pinned");
+      const std::string actual = label + " " + analyzer_pin(net, options);
+      const std::string expected =
+          row < std::size(kExpected) ? kExpected[row] : "";
+      EXPECT_EQ(actual, expected);
+      ++row;
+    }
+  }
+  EXPECT_EQ(row, std::size(kExpected));
+}
+
+// --- The word-parallel relation primitives -------------------------------
+
+TEST(AnalyzeRelation, BlockedTransposeMatchesNaive) {
+  Prng rng(0x7A45);
+  for (const std::size_t n : {1, 63, 64, 65, 127, 129, 200}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Sparse, dense, and all-empty / all-full 64 x 64 blocks.
+    for (const std::uint64_t density : {0, 4, 32, 60, 64}) {
+      BitMatrix m(n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+          if (rng.below(64) < density) m.set(r, c);
+      BitMatrix t(3);  // wrong size: transpose_into resizes it
+      m.transpose_into(t);
+      ASSERT_EQ(t.size(), n);
+      for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < n; ++c)
+          ASSERT_EQ(t.test(c, r), m.test(r, c)) << r << "," << c;
+      EXPECT_EQ(t.count(), m.count());  // tail bits stay clear
+      BitMatrix back(n);
+      t.transpose_into(back);
+      EXPECT_EQ(back, m);
+    }
+  }
+}
+
+/// Reference closure: the relation's pairs plus every low x high pair of
+/// each block, closed by Warshall's algorithm one pair at a time.
+std::vector<std::vector<bool>> warshall_with_blocks(
+    const OrderRelation& rel, const std::vector<wire_t>& low,
+    const std::vector<wire_t>& high, const std::vector<std::uint32_t>& ends) {
+  const wire_t n = rel.width();
+  std::vector<std::vector<bool>> m(n, std::vector<bool>(n));
+  for (wire_t x = 0; x < n; ++x)
+    for (wire_t y = 0; y < n; ++y) m[x][y] = rel.leq(x, y);
+  std::uint32_t begin = 0;
+  for (const std::uint32_t end : ends) {
+    for (std::uint32_t i = begin; i < end; ++i)
+      for (std::uint32_t j = begin; j < end; ++j) m[low[i]][high[j]] = true;
+    begin = end;
+  }
+  for (wire_t k = 0; k < n; ++k)
+    for (wire_t x = 0; x < n; ++x)
+      if (m[x][k])
+        for (wire_t y = 0; y < n; ++y)
+          if (m[k][y]) m[x][y] = true;
+  return m;
+}
+
+TEST(AnalyzeRelation, BlockClosureMatchesWarshall) {
+  Prng rng(0xB10C);
+  for (const wire_t n : {5, 64, 65, 130}) {
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " round=" +
+                   std::to_string(round));
+      // A relation with real structure: a few random comparator levels.
+      OrderRelation rel(n);
+      std::vector<wire_t> wires(n);
+      std::iota(wires.begin(), wires.end(), wire_t{0});
+      for (int level = 0; level < 6; ++level) {
+        shuffle_in_place(wires, rng);
+        std::vector<LevelOp> ops;
+        for (wire_t p = 0; p + 1 < n; p += 2)
+          ops.push_back(LevelOp{wires[p], wires[p + 1]});
+        rel.apply_level(ops);
+      }
+      // Disjoint blocks of 1-4 low and as many high slots.
+      shuffle_in_place(wires, rng);
+      std::vector<wire_t> low;
+      std::vector<wire_t> high;
+      std::vector<std::uint32_t> ends;
+      std::size_t next = 0;
+      while (ends.size() < 3 && next + 8 <= n) {
+        const std::size_t len = 1 + rng.below(4);
+        for (std::size_t i = 0; i < len; ++i) {
+          low.push_back(wires[next++]);
+          high.push_back(wires[next++]);
+        }
+        ends.push_back(static_cast<std::uint32_t>(low.size()));
+      }
+      const auto expected = warshall_with_blocks(rel, low, high, ends);
+      rel.add_blocks(low, high, ends);
+      for (wire_t x = 0; x < n; ++x)
+        for (wire_t y = 0; y < n; ++y) {
+          ASSERT_EQ(rel.leq(x, y), expected[x][y]) << x << "<=" << y;
+          ASSERT_EQ(((rel.down_set(y)[x / 64] >> (x % 64)) & 1u) != 0,
+                    expected[x][y])
+              << "down-set of " << y;
+        }
+    }
+  }
+}
+
+TEST(AnalyzeRelation, LevelStepsAllocateNothingAfterTheFirst) {
+  const LevelProgram prog = level_program(bitonic_sorting_network(128));
+  OrderRelation rel(prog.width);
+  std::vector<OpFate> fates(prog.width);
+  rel.apply_level(prog.levels[0], fates.data());
+  const std::vector<wire_t> low{0, 1};
+  const std::vector<wire_t> high{2, 3};
+  const std::vector<std::uint32_t> ends{2};
+  rel.add_blocks(low, high, ends);
+  const std::size_t before = g_allocations;
+  for (std::size_t l = 1; l < prog.levels.size(); ++l) {
+    rel.apply_level(prog.levels[l], fates.data());
+    rel.add_blocks(low, high, ends);
+  }
+  EXPECT_EQ(g_allocations - before, 0u);
+
+  // The analyzer's engine too: an analysis's allocation count does not
+  // grow with the number of levels stepped.
+  const auto allocations_for = [&](std::size_t levels) {
+    LevelProgram prefix = prog;
+    prefix.levels.resize(levels);
+    const std::size_t start = g_allocations;
+    const AnalyzeReport report = analyze(prefix);
+    EXPECT_EQ(report.verdict, AnalyzeVerdict::Inconclusive);
+    return g_allocations - start;
+  };
+  EXPECT_EQ(allocations_for(2), allocations_for(prog.levels.size() - 1));
 }
 
 }  // namespace

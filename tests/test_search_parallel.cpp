@@ -9,11 +9,13 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/io.hpp"
 #include "search/checkpoint.hpp"
+#include "search/level_space.hpp"
 #include "search/search.hpp"
 #include "util/thread_pool.hpp"
 
@@ -180,6 +182,36 @@ TEST(SearchParallel, CorruptedCheckpointIsRejected) {
     f.write(&byte, 1);
   }
   EXPECT_THROW(run(7, nullptr, path, /*resume=*/true), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// Hostile seeds (tests/data/fuzz_seeds/checkpoint_*.bin): valid CRC,
+// but a state count or history length far beyond the payload. Each must
+// be rejected before anything is reserved for it, as must a width past
+// the search cap.
+TEST(SearchParallel, HostileCheckpointCountsAreRejected) {
+  const std::string dir = std::string(SB_TEST_DATA_DIR) + "/fuzz_seeds/";
+  const std::pair<const char*, const char*> cases[] = {
+      {"checkpoint_huge_state_count.bin", "state count exceeds payload"},
+      {"checkpoint_huge_history_len.bin", "history length exceeds payload"},
+  };
+  for (const auto& [name, message] : cases) {
+    SCOPED_TRACE(name);
+    std::string error;
+    EXPECT_FALSE(load_checkpoint(dir + name, &error).has_value());
+    EXPECT_NE(error.find(message), std::string::npos) << error;
+  }
+
+  const std::string path = temp_path("wide");
+  SearchCheckpoint cp;
+  cp.width = kSearchWidthCap + 1;
+  ASSERT_TRUE(save_checkpoint(path, cp));
+  std::string error;
+  EXPECT_FALSE(load_checkpoint(path, &error).has_value());
+  EXPECT_NE(error.find("corrupt header"), std::string::npos) << error;
+  cp.width = kSearchWidthCap;
+  ASSERT_TRUE(save_checkpoint(path, cp));
+  EXPECT_TRUE(load_checkpoint(path).has_value());
   std::remove(path.c_str());
 }
 
