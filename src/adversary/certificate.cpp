@@ -181,6 +181,10 @@ std::string encode_body(const Certificate& cert) {
 }
 
 Certificate decode_body(wire_t n, const std::string& body) {
+  // Every pi entry takes at least one byte, so a larger n is a lie - and
+  // must be rejected before the n-sized pattern buffer is reserved.
+  if (n > body.size())
+    throw std::invalid_argument("certificate: n exceeds body size");
   Certificate cert;
   cert.n = n;
   std::size_t pos = 0;

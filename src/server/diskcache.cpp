@@ -200,12 +200,15 @@ void DiskBackedCache::open_or_recover() {
     // Layout: magic(8) log_end(8) count(8) entries(count * 36) crc(4),
     // where an entry is fingerprint(16) params(8) offset(8) len(4).
     constexpr std::size_t kIdxEntry = 16 + 8 + 4 + 8;
-    bool usable = blob.size() >= sizeof(kIndexMagic) + 8 + 8 + 4 &&
+    constexpr std::size_t kIdxFixed = sizeof(kIndexMagic) + 8 + 8 + 4;
+    bool usable = blob.size() >= kIdxFixed &&
                   std::memcmp(blob.data(), kIndexMagic, sizeof(kIndexMagic)) == 0;
     std::uint64_t count = 0;
     if (usable) {
+      // Bound count before multiplying: count * kIdxEntry wraps mod 2^64.
       count = get_u64(blob.data() + 16);
-      usable = blob.size() == sizeof(kIndexMagic) + 16 + count * kIdxEntry + 4;
+      usable = count <= (blob.size() - kIdxFixed) / kIdxEntry &&
+               blob.size() == kIdxFixed + count * kIdxEntry;
     }
     if (usable) {
       const std::uint32_t stored_crc = get_u32(blob.data() + blob.size() - 4);

@@ -43,31 +43,6 @@ std::string error_line(const std::string& id, const std::string& op,
   return out.dump();
 }
 
-/// Best-effort id / op extraction for requests the server answers itself
-/// (stats, shutdown, rejections) - same defaulting as job_from_json_line.
-struct RequestHead {
-  std::string id;
-  std::string op;  // empty when missing/unparseable
-};
-
-RequestHead request_head(const std::string& line, std::uint64_t line_number) {
-  RequestHead head;
-  head.id = "line-" + std::to_string(line_number);
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    if (!doc.is_object()) return head;
-    if (const JsonValue* id = doc.find("id")) {
-      if (id->is_string()) head.id = id->as_string();
-      else if (id->is_number()) head.id = std::to_string(id->as_int());
-    }
-    if (const JsonValue* op = doc.find("op"))
-      if (op->is_string()) head.op = op->as_string();
-  } catch (const std::exception&) {
-    // Malformed JSON: the engine path reports the parse error.
-  }
-  return head;
-}
-
 void set_send_timeout(int fd, std::uint64_t ms) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(ms / 1000);
@@ -233,6 +208,7 @@ void Server::accept_connection() {
 void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   SB_OBS_SPAN("server", "connection");
   std::string buffer;
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
   std::uint64_t line_number = 0;
   char chunk[4096];
   for (;;) {
@@ -242,8 +218,10 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       break;  // EOF, SHUT_RD during drain, or a dead peer
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
+    // Each received byte is searched once, so a long line arriving in
+    // many small reads costs linear time, not quadratic.
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
+    for (std::size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -254,6 +232,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
                   static_cast<std::uint32_t>(line_number - 1));
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
   }
   if (!buffer.empty()) {
     // Final unterminated line counts, as in batch mode.
@@ -275,35 +254,30 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
   requests_.fetch_add(1, std::memory_order_relaxed);
   SB_OBS_COUNT("server.requests", 1);
   SB_OBS_SPAN("server", "request");
-  const RequestHead head = request_head(line, line_number);
+  // One JSON parse per line: the server-answered ops, the rejection
+  // lines and the job spec all read this document.
+  const JobLine parsed(line);
+  const std::string id = parsed.id(line_number);
+  const std::string op = parsed.op();
 
-  if (head.op == "stats") {
+  if (op == "stats" || op == "shutdown") {
+    JsonValue result = op == "stats" ? stats_json() : JsonValue::object();
+    if (op == "shutdown") result.set("draining", true);
     JsonValue out = JsonValue::object();
-    out.set("id", head.id);
-    out.set("op", "stats");
+    out.set("id", id);
+    out.set("op", op);
     out.set("ok", true);
-    out.set("result", stats_json());
-    deliver(conn, ticket, out.dump(), /*engine_result=*/false);
-    return;
-  }
-  if (head.op == "shutdown") {
-    JsonValue out = JsonValue::object();
-    out.set("id", head.id);
-    out.set("op", "shutdown");
-    out.set("ok", true);
-    JsonValue result = JsonValue::object();
-    result.set("draining", true);
     out.set("result", std::move(result));
     deliver(conn, ticket, out.dump(), /*engine_result=*/false);
-    request_shutdown();
+    if (op == "shutdown") request_shutdown();
     return;
   }
 
-  const std::string op = head.op.empty() ? "invalid" : head.op;
+  const std::string reject_op = op.empty() ? "invalid" : op;
   if (draining_.load(std::memory_order_relaxed)) {
     rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     deliver(conn, ticket,
-            error_line(head.id, op, "draining", "server is shutting down"),
+            error_line(id, reject_op, "draining", "server is shutting down"),
             /*engine_result=*/false);
     return;
   }
@@ -323,13 +297,13 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     overloaded_.fetch_add(1, std::memory_order_relaxed);
     SB_OBS_COUNT("server.overloaded", 1);
     deliver(conn, ticket,
-            error_line(head.id, op, "overloaded",
+            error_line(id, reject_op, "overloaded",
                        "connection in-flight limit reached"),
             /*engine_result=*/false);
     return;
   }
 
-  JobSpec spec = job_from_json_line(line, line_number);
+  JobSpec spec = job_from_json(parsed, line_number);
   spec.client_tag = pack_tag(conn->id, ticket);
   AnalysisEngine::Admission admission;
   {
@@ -347,12 +321,12 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     overloaded_.fetch_add(1, std::memory_order_relaxed);
     SB_OBS_COUNT("server.overloaded", 1);
     deliver(conn, ticket,
-            error_line(head.id, op, "overloaded", "engine queue saturated"),
+            error_line(id, reject_op, "overloaded", "engine queue saturated"),
             /*engine_result=*/false);
   } else {
     rejected_draining_.fetch_add(1, std::memory_order_relaxed);
     deliver(conn, ticket,
-            error_line(head.id, op, "draining", "server is shutting down"),
+            error_line(id, reject_op, "draining", "server is shutting down"),
             /*engine_result=*/false);
   }
 }

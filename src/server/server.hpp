@@ -13,7 +13,8 @@
 // Shape:
 //
 //   accept loop (poll: listener + wake pipe)
-//     -> reader thread per connection -- parse, admission-check, submit
+//     -> reader thread per connection -- parse (one JSON parse per
+//        line), admission-check, submit
 //          -> AnalysisEngine (shared; submits serialized by one mutex)
 //          -> shared result sink -- route by JobSpec::client_tag
 //     -> per-connection ticket reorder buffer -> socket write

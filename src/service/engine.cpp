@@ -49,22 +49,12 @@ JsonValue wires_to_json(std::span<const wire_t> values) {
 
 /// Runs input permutation `input` through the network in its own model
 /// (register/iterated outputs are in register / final-slot order).
-template <typename Net>
-std::vector<wire_t> run_input(const Net& net, const Permutation& input) {
-  std::vector<wire_t> values(input.image().begin(), input.image().end());
-  if constexpr (std::is_same_v<Net, ComparatorNetwork>) {
-    net.evaluate_in_place(std::span<wire_t>(values));
-  } else {
-    net.evaluate_in_place(values);
-  }
-  return values;
-}
-
 std::vector<wire_t> run_input(const ParsedNetwork& net,
                               const Permutation& input) {
-  if (net.iterated_form) return run_input(*net.iterated_form, input);
-  if (net.register_form) return run_input(*net.register_form, input);
-  return run_input(net.circuit, input);
+  return net.visit([&input](const auto& model) {
+    return model.evaluate(
+        std::vector<wire_t>(input.image().begin(), input.image().end()));
+  });
 }
 
 // Arena purpose salts: the compiled table depends on WHAT is compiled,
@@ -77,14 +67,20 @@ constexpr std::uint64_t kArenaSaltPlain = 0x706C61696Eull;    // "plain"
 constexpr std::uint64_t kArenaSaltCertify = 0x6365727469ull;  // "certi"
 
 Fingerprint model_fingerprint(const ParsedNetwork& net) {
-  return net.iterated_form   ? fingerprint(*net.iterated_form)
-         : net.register_form ? fingerprint(*net.register_form)
-                             : fingerprint(net.circuit);
+  return net.visit([](const auto& model) { return fingerprint(model); });
 }
 
 ArenaKey arena_key_of(const ParsedNetwork& net, std::uint64_t salt) {
   const Fingerprint fp = model_fingerprint(net);
   return ArenaKey{fp.hi, fp.lo}.derived(salt);
+}
+
+/// The raw parse compiled once per network through the plain-salt slot.
+std::shared_ptr<const CompiledNetwork> plain_compiled(const ParsedNetwork& net,
+                                                      CompilationArena& arena) {
+  return arena.get_or_compile(arena_key_of(net, kArenaSaltPlain), [&net] {
+    return net.visit([](const auto& model) { return compile(model); });
+  });
 }
 
 // ---------------------------------------------------------------- info --
@@ -192,14 +188,13 @@ JsonValue analyze_payload(const ParsedNetwork& net) {
 
 // -------------------------------------------------------- count-sorted --
 
-template <typename Net>
-JsonValue count_sorted_payload(const Net& net, const JobSpec& spec,
+JsonValue count_sorted_payload(const ParsedNetwork& net, const JobSpec& spec,
                                Clock::time_point deadline,
-                               CompilationArena& arena, const ArenaKey& key) {
+                               CompilationArena& arena) {
   // One compile amortized over every trial AND over every job on the
   // same network (the arena view); apply() reuses the buffers.
   const std::shared_ptr<const CompiledNetwork> view =
-      arena.get_or_compile(key, [&net] { return compile(net); });
+      plain_compiled(net, arena);
   const CompiledNetwork& compiled = *view;
   std::vector<wire_t> values;
   std::vector<wire_t> scratch;
@@ -249,9 +244,7 @@ JsonValue refute_payload(const ParsedNetwork& net, const JobSpec& spec,
   options.k = spec.k;
   options.progress = [deadline] { check_deadline(deadline); };
   const RefutationResult result =
-      net.iterated_form   ? refute(*net.iterated_form, options)
-      : net.register_form ? refute(*net.register_form, options)
-                          : refute(net.circuit, options);
+      net.visit([&options](const auto& model) { return refute(model, options); });
   JsonValue payload = JsonValue::object();
   switch (result.status) {
     case RefutationStatus::Refuted: payload.set("status", "refuted"); break;
@@ -322,13 +315,7 @@ bool revalidate_refutation(const ParsedNetwork& net, const JsonValue& payload,
     // Replay on the compiled kernel - the evaluator actually serving
     // this engine's certify/count paths. Revalidation compiles the raw
     // parse, so it shares the plain-salt arena slot with count-sorted.
-    const std::shared_ptr<const CompiledNetwork> compiled =
-        arena.get_or_compile(arena_key_of(net, kArenaSaltPlain), [&net] {
-          return net.iterated_form   ? compile(*net.iterated_form)
-                 : net.register_form ? compile(*net.register_form)
-                                     : compile(net.circuit);
-        });
-    return check_witness(*compiled, w).refutes_sorting();
+    return check_witness(*plain_compiled(net, arena), w).refutes_sorting();
   } catch (const std::exception&) {
     return false;
   }
@@ -367,17 +354,85 @@ JsonValue search_payload(const JobSpec& spec, Clock::time_point deadline) {
   return out;
 }
 
-JobResult execute_parsed(const JobSpec& spec, const ParsedNetwork& net,
-                         Clock::time_point deadline,
-                         CompilationArena& arena) {
+/// What the engine adds to a job's run: the cache to probe and fill and
+/// the telemetry that counts hits, misses and witness revalidations.
+struct CacheTier {
+  ResultCache& cache;
+  Telemetry& telemetry;
+  /// Lookup + revalidation time; empty when the job never reached the
+  /// probe (invalid spec, unparseable network).
+  std::optional<Clock::duration> probe_time;
+};
+
+/// The one path every job takes: spec check, network parse (for the
+/// kinds that have one), cache key, probe with refute revalidation,
+/// payload, insert. `tier` is null for the isolated AnalysisEngine::execute
+/// and for engines with the cache disabled. Never throws.
+JobResult run_job(const JobSpec& spec, Clock::time_point deadline,
+                  CompilationArena& arena, CacheTier* tier) {
   JobResult result;
   result.seq = spec.seq;
   result.id = spec.id;
   result.kind = spec.kind;
+  result.client_tag = spec.client_tag;
+  if (spec.kind == JobKind::Invalid) {
+    result.error = spec.parse_error.empty() ? "invalid job" : spec.parse_error;
+    return result;
+  }
+  // Lint runs on raw text (malformed networks are its whole subject) and
+  // search on bare parameters; every other kind needs the parsed network.
+  std::optional<ParsedNetwork> net;
+  if (spec.kind != JobKind::Lint && spec.kind != JobKind::Search) {
+    try {
+      net = parse_any_network(spec.network_text);
+    } catch (const std::exception& e) {
+      result.error = std::string("network: ") + e.what();
+      return result;
+    }
+  }
+
+  std::optional<CacheKey> key;
+  if (tier != nullptr) {
+    key = spec.kind == JobKind::Lint     ? AnalysisEngine::lint_cache_key(spec)
+          : spec.kind == JobKind::Search ? AnalysisEngine::search_cache_key(spec)
+                                         : AnalysisEngine::cache_key(spec, *net);
+    const auto probe_start = Clock::now();
+    std::optional<JsonValue> hit;
+    {
+      SB_OBS_SPAN("service", "cache_probe");
+      hit = tier->cache.lookup(*key);
+      // Cached refutations are not trusted: the witness is replayed
+      // through the freshly parsed network before it is served.
+      if (hit && spec.kind == JobKind::Refute) {
+        const bool valid = revalidate_refutation(*net, *hit, arena);
+        tier->telemetry.count_witness_revalidation(valid);
+        SB_OBS_COUNT("service.witness_revalidations", 1);
+        if (!valid) {
+          SB_OBS_COUNT("service.witness_revalidation_failures", 1);
+          tier->cache.invalidate(*key);
+          hit.reset();
+        }
+      }
+    }
+    tier->probe_time = Clock::now() - probe_start;
+    JobKindTelemetry& tk =
+        tier->telemetry.kind(static_cast<std::size_t>(spec.kind));
+    if (hit) {
+      tk.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      SB_OBS_COUNT("service.cache_hits", 1);
+      result.ok = true;
+      result.payload = std::move(*hit);
+      return result;
+    }
+    tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    SB_OBS_COUNT("service.cache_misses", 1);
+  }
+
   try {
+    SB_OBS_SPAN("service", "execute");
     switch (spec.kind) {
       case JobKind::Info:
-        result.payload = info_payload(net);
+        result.payload = info_payload(*net);
         break;
       case JobKind::Certify:
         // Register certification compiles the raw program (no
@@ -385,73 +440,40 @@ JobResult execute_parsed(const JobSpec& spec, const ParsedNetwork& net,
         // count-sorted; circuit certification compiles the eliminated
         // form and keys under the certify salt.
         result.payload =
-            net.register_form
-                ? certify_payload(*net.register_form, deadline, arena,
-                                  arena_key_of(net, kArenaSaltPlain))
-                : certify_payload(net.circuit, deadline, arena,
-                                  arena_key_of(net, kArenaSaltCertify));
+            net->register_form
+                ? certify_payload(*net->register_form, deadline, arena,
+                                  arena_key_of(*net, kArenaSaltPlain))
+                : certify_payload(net->circuit, deadline, arena,
+                                  arena_key_of(*net, kArenaSaltCertify));
         break;
       case JobKind::Refute:
-        result.payload = refute_payload(net, spec, deadline);
+        result.payload = refute_payload(*net, spec, deadline);
         break;
-      case JobKind::CountSorted: {
-        const ArenaKey key = arena_key_of(net, kArenaSaltPlain);
-        if (net.iterated_form) {
-          result.payload = count_sorted_payload(*net.iterated_form, spec,
-                                                deadline, arena, key);
-        } else if (net.register_form) {
-          result.payload = count_sorted_payload(*net.register_form, spec,
-                                                deadline, arena, key);
-        } else {
-          result.payload =
-              count_sorted_payload(net.circuit, spec, deadline, arena, key);
-        }
+      case JobKind::CountSorted:
+        result.payload = count_sorted_payload(*net, spec, deadline, arena);
+        break;
+      case JobKind::Analyze:
+        result.payload = analyze_payload(*net);
+        break;
+      case JobKind::Lint: {
+        // A dirty report fails the job but still carries its diagnostics.
+        const LintReport report = lint_network_text(spec.network_text);
+        result.payload = report.to_json(spec.strict);
+        if (!report.clean(spec.strict))
+          result.error =
+              "lint: " + std::to_string(report.count(LintSeverity::Error)) +
+              " error(s), " +
+              std::to_string(report.count(LintSeverity::Warning)) +
+              " warning(s)";
         break;
       }
-      case JobKind::Analyze:
-        result.payload = analyze_payload(net);
-        break;
-      case JobKind::Lint:
-        // Lint never reaches the parsed path: it runs on the raw text
-        // (malformed networks are its whole subject). See execute().
-        result.error = "internal: lint dispatched to the parsed path";
-        return result;
       case JobKind::Search:
-        // Search has no network input at all. See execute().
-        result.error = "internal: search dispatched to the parsed path";
-        return result;
+        result.payload = search_payload(spec, deadline);
+        break;
       case JobKind::Invalid:
-        result.error = spec.parse_error.empty() ? "invalid job"
-                                                : spec.parse_error;
-        return result;
+        break;  // answered above
     }
-    result.ok = true;
-  } catch (const JobTimeout&) {
-    result.ok = false;
-    result.timed_out = true;
-    result.error = "timeout";
-    result.payload = JsonValue();
-  } catch (const std::exception& e) {
-    result.ok = false;
-    result.error = e.what();
-    result.payload = JsonValue();
-  }
-  return result;
-}
-
-/// Runs the linter on the raw network text. Succeeds when the report is
-/// clean under the spec's strictness; a dirty report still attaches the
-/// full diagnostic document to the (failed) result.
-/// Runs a search job (no network to parse). Timeouts surface through the
-/// cooperative deadline in the progress hook.
-JobResult search_result(const JobSpec& spec, Clock::time_point deadline) {
-  JobResult result;
-  result.seq = spec.seq;
-  result.id = spec.id;
-  result.kind = spec.kind;
-  try {
-    result.payload = search_payload(spec, deadline);
-    result.ok = true;
+    result.ok = result.error.empty();
   } catch (const JobTimeout&) {
     result.timed_out = true;
     result.error = "timeout";
@@ -460,23 +482,7 @@ JobResult search_result(const JobSpec& spec, Clock::time_point deadline) {
     result.error = e.what();
     result.payload = JsonValue();
   }
-  return result;
-}
-
-JobResult lint_result(const JobSpec& spec) {
-  JobResult result;
-  result.seq = spec.seq;
-  result.id = spec.id;
-  result.kind = spec.kind;
-  const LintReport report = lint_network_text(spec.network_text);
-  result.payload = report.to_json(spec.strict);
-  result.ok = report.clean(spec.strict);
-  if (!result.ok) {
-    const std::size_t errors = report.count(LintSeverity::Error);
-    const std::size_t warnings = report.count(LintSeverity::Warning);
-    result.error = "lint: " + std::to_string(errors) + " error(s), " +
-                   std::to_string(warnings) + " warning(s)";
-  }
+  if (result.ok && key) tier->cache.insert(*key, result.payload);
   return result;
 }
 
@@ -485,9 +491,7 @@ JobResult lint_result(const JobSpec& spec) {
 CacheKey AnalysisEngine::cache_key(const JobSpec& spec,
                                    const ParsedNetwork& net) {
   CacheKey key;
-  key.network = net.iterated_form   ? fingerprint(*net.iterated_form)
-                : net.register_form ? fingerprint(*net.register_form)
-                                    : fingerprint(net.circuit);
+  key.network = model_fingerprint(net);
   FingerprintHasher params;
   params.absorb(static_cast<std::uint64_t>(spec.kind));
   if (spec.kind == JobKind::CountSorted) {
@@ -529,31 +533,10 @@ CacheKey AnalysisEngine::lint_cache_key(const JobSpec& spec) {
 
 JobResult AnalysisEngine::execute(const JobSpec& spec,
                                   Clock::time_point deadline) {
-  if (spec.kind == JobKind::Invalid) {
-    JobResult result;
-    result.seq = spec.seq;
-    result.id = spec.id;
-    result.kind = spec.kind;
-    result.error =
-        spec.parse_error.empty() ? "invalid job" : spec.parse_error;
-    return result;
-  }
-  if (spec.kind == JobKind::Lint) return lint_result(spec);
-  if (spec.kind == JobKind::Search) return search_result(spec, deadline);
-  try {
-    const ParsedNetwork net = parse_any_network(spec.network_text);
-    // The isolated entry point shares the process-wide arena: results
-    // are pure functions of the spec either way, the arena only dedups
-    // the compile work.
-    return execute_parsed(spec, net, deadline, CompilationArena::global());
-  } catch (const std::exception& e) {
-    JobResult result;
-    result.seq = spec.seq;
-    result.id = spec.id;
-    result.kind = spec.kind;
-    result.error = std::string("network: ") + e.what();
-    return result;
-  }
+  // The isolated entry point shares the process-wide arena: results are
+  // pure functions of the spec either way, the arena only dedups the
+  // compile work.
+  return run_job(spec, deadline, CompilationArena::global(), nullptr);
 }
 
 AnalysisEngine::AnalysisEngine(EngineConfig config, ResultSink sink)
@@ -609,7 +592,6 @@ void AnalysisEngine::finish() {
   queue_.close();
   std::unique_lock lock(join_mutex_);
   workers_done_.wait(lock, [this] { return active_workers_ == 0; });
-  telemetry_.record_queue_high_water(queue_.high_water());
 }
 
 void AnalysisEngine::worker_loop() {
@@ -633,132 +615,27 @@ void AnalysisEngine::process(JobSpec spec) {
       timeout_ms == 0 ? Clock::time_point::max()
                       : start + std::chrono::milliseconds(timeout_ms);
 
+  CacheTier tier{*cache_, telemetry_, std::nullopt};
+  JobResult result = run_job(spec, deadline, *arena_,
+                             config_.cache_enabled ? &tier : nullptr);
+
   JobKindTelemetry& tk = telemetry_.kind(static_cast<std::size_t>(spec.kind));
-  std::optional<JobResult> result;
-  // Cache lookup + revalidation time, kept out of the execute latency
-  // histogram (recorded into tk.cache_probe instead).
-  Clock::duration probe_time{0};
-  bool probed = false;
-
-  if (spec.kind == JobKind::Lint || spec.kind == JobKind::Search) {
-    // Lint runs on raw text and search on bare parameters: neither has a
-    // parsed network to fingerprint, so they cache under their own keys.
-    // Only ok results are cached; a dirty lint or failed search re-runs.
-    std::optional<CacheKey> key;
-    if (config_.cache_enabled) {
-      key = spec.kind == JobKind::Lint ? lint_cache_key(spec)
-                                       : search_cache_key(spec);
-      const auto probe_start = Clock::now();
-      std::optional<JsonValue> hit;
-      {
-        SB_OBS_SPAN("service", "cache_probe");
-        hit = cache_->lookup(*key);
-      }
-      probe_time += Clock::now() - probe_start;
-      probed = true;
-      if (hit) {
-        JobResult r;
-        r.seq = spec.seq;
-        r.id = spec.id;
-        r.kind = spec.kind;
-        r.ok = true;
-        r.payload = std::move(*hit);
-        r.from_cache = true;
-        result = std::move(r);
-        tk.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        SB_OBS_COUNT("service.cache_hits", 1);
-      }
-    }
-    if (!result) {
-      if (key) {
-        tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
-        SB_OBS_COUNT("service.cache_misses", 1);
-      }
-      {
-        SB_OBS_SPAN("service", "execute");
-        result = execute(spec, deadline);
-      }
-      if (result->ok && key) cache_->insert(*key, result->payload);
-    }
-  } else if (spec.kind != JobKind::Invalid) {
-    std::optional<ParsedNetwork> net;
-    try {
-      net = parse_any_network(spec.network_text);
-    } catch (const std::exception& e) {
-      JobResult r;
-      r.seq = spec.seq;
-      r.id = spec.id;
-      r.kind = spec.kind;
-      r.error = std::string("network: ") + e.what();
-      result = std::move(r);
-    }
-    if (net) {
-      std::optional<CacheKey> key;
-      if (config_.cache_enabled) {
-        key = cache_key(spec, *net);
-        const auto probe_start = Clock::now();
-        {
-          SB_OBS_SPAN("service", "cache_probe");
-          if (std::optional<JsonValue> hit = cache_->lookup(*key)) {
-            bool valid = true;
-            if (spec.kind == JobKind::Refute) {
-              valid = revalidate_refutation(*net, *hit, *arena_);
-              telemetry_.count_witness_revalidation(valid);
-              SB_OBS_COUNT("service.witness_revalidations", 1);
-              if (!valid)
-                SB_OBS_COUNT("service.witness_revalidation_failures", 1);
-            }
-            if (valid) {
-              JobResult r;
-              r.seq = spec.seq;
-              r.id = spec.id;
-              r.kind = spec.kind;
-              r.ok = true;
-              r.payload = std::move(*hit);
-              r.from_cache = true;
-              result = std::move(r);
-              tk.cache_hits.fetch_add(1, std::memory_order_relaxed);
-              SB_OBS_COUNT("service.cache_hits", 1);
-            } else {
-              cache_->invalidate(*key);
-            }
-          }
-        }
-        probe_time += Clock::now() - probe_start;
-        probed = true;
-      }
-      if (!result) {
-        if (key) {
-          tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
-          SB_OBS_COUNT("service.cache_misses", 1);
-        }
-        {
-          SB_OBS_SPAN("service", "execute");
-          result = execute_parsed(spec, *net, deadline, *arena_);
-        }
-        if (result->ok && key) cache_->insert(*key, result->payload);
-      }
-    }
-  } else {
-    result = execute(spec, deadline);
-  }
-
-  // Route tag for multiplexed sinks (the server); pure passthrough.
-  result->client_tag = spec.client_tag;
-
-  if (result->ok) {
+  if (result.ok) {
     tk.completed.fetch_add(1, std::memory_order_relaxed);
   } else {
     tk.failed.fetch_add(1, std::memory_order_relaxed);
-    if (result->timed_out) tk.timed_out.fetch_add(1, std::memory_order_relaxed);
+    if (result.timed_out) tk.timed_out.fetch_add(1, std::memory_order_relaxed);
   }
   const auto micros = [](Clock::duration d) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(d).count());
   };
+  // The probe is kept out of the latency histogram (tk.cache_probe).
+  const Clock::duration probe_time =
+      tier.probe_time.value_or(Clock::duration::zero());
   tk.latency.record(micros(Clock::now() - start - probe_time));
-  if (probed) tk.cache_probe.record(micros(probe_time));
-  emit(std::move(*result));
+  if (tier.probe_time) tk.cache_probe.record(micros(probe_time));
+  emit(std::move(result));
 }
 
 void AnalysisEngine::emit(JobResult result) {
@@ -774,10 +651,8 @@ void AnalysisEngine::emit(JobResult result) {
 }
 
 JsonValue AnalysisEngine::telemetry_to_json() const {
-  const JsonValue cache_stats = cache_->stats_to_json();
-  JsonValue out = telemetry_.to_json(&cache_stats);
-  out.set("queue_high_water",
-          static_cast<std::uint64_t>(queue_.high_water()));
+  JsonValue out =
+      telemetry_.to_json(queue_.high_water(), cache_->stats_to_json());
   out.set("queue_capacity", static_cast<std::uint64_t>(queue_.capacity()));
   out.set("workers", static_cast<std::uint64_t>(pool_.worker_count()));
   // The compile-once tier and the kernel path serving this engine's

@@ -106,9 +106,9 @@ class AnalysisEngine {
   /// Full telemetry document including cache stats and queue high water.
   JsonValue telemetry_to_json() const;
 
-  /// Executes one job in isolation (no queue, no cache) - the pure
-  /// function workers and tests share. `deadline` uses steady_clock;
-  /// time_point::max() disables the timeout.
+  /// Executes one job in isolation (no queue, no cache) on the same path
+  /// the workers take, minus the cache probe and insert. `deadline` uses
+  /// steady_clock; time_point::max() disables the timeout.
   static JobResult execute(
       const JobSpec& spec,
       std::chrono::steady_clock::time_point deadline =

@@ -76,25 +76,42 @@ JobSpec invalid_spec(std::string id, std::string why) {
 
 }  // namespace
 
-JobSpec job_from_json_line(const std::string& line,
-                           std::uint64_t line_number) {
-  const std::string default_id = "line-" + std::to_string(line_number);
-  JsonValue doc;
+JobLine::JobLine(const std::string& line) {
   try {
     doc = JsonValue::parse(line);
   } catch (const std::exception& e) {
-    return invalid_spec(default_id, e.what());
+    json_error = e.what();
   }
-  if (!doc.is_object())
-    return invalid_spec(default_id, "job line must be a JSON object");
+}
 
-  JobSpec spec;
-  spec.id = default_id;
+std::string JobLine::op() const {
+  const JsonValue* op = doc.find("op");
+  return op != nullptr && op->is_string() ? op->as_string() : std::string();
+}
+
+std::string JobLine::id(std::uint64_t line_number) const {
   if (const JsonValue* id = doc.find("id")) {
-    if (id->is_string()) spec.id = id->as_string();
-    else if (id->is_number()) spec.id = std::to_string(id->as_int());
-    else return invalid_spec(default_id, "'id' must be a string or number");
+    if (id->is_string()) return id->as_string();
+    if (id->is_number()) return std::to_string(id->as_int());
   }
+  return "line-" + std::to_string(line_number);
+}
+
+JobSpec job_from_json_line(const std::string& line,
+                           std::uint64_t line_number) {
+  return job_from_json(JobLine(line), line_number);
+}
+
+JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
+  JobSpec spec;
+  spec.id = line.id(line_number);
+  if (!line.json_error.empty()) return invalid_spec(spec.id, line.json_error);
+  const JsonValue& doc = line.doc;
+  if (!doc.is_object())
+    return invalid_spec(spec.id, "job line must be a JSON object");
+  const JsonValue* id = doc.find("id");
+  if (id != nullptr && !id->is_string() && !id->is_number())
+    return invalid_spec(spec.id, "'id' must be a string or number");
 
   const JsonValue* op = doc.find("op");
   if (op == nullptr || !op->is_string())
@@ -104,6 +121,14 @@ JobSpec job_from_json_line(const std::string& line,
     return invalid_spec(spec.id, "unknown op '" + op->as_string() + "'");
   spec.kind = *kind;
 
+  // Optional numeric field: false when present but not a number.
+  const auto read_uint = [&](const char* key, auto& out) -> bool {
+    if (const JsonValue* v = doc.find(key)) {
+      if (!v->is_number()) return false;
+      out = static_cast<std::remove_reference_t<decltype(out)>>(v->as_uint());
+    }
+    return true;
+  };
   const JsonValue* network = doc.find("network");
   const JsonValue* network_file = doc.find("network_file");
   if (spec.kind == JobKind::Search) {
@@ -122,16 +147,10 @@ JobSpec job_from_json_line(const std::string& line,
                             "'mode' must be auto, exhaustive or existence");
       spec.search_mode = mode->as_string();
     }
-    if (const JsonValue* d = doc.find("max_depth")) {
-      if (!d->is_number())
-        return invalid_spec(spec.id, "'max_depth' must be a number");
-      spec.search_max_depth = static_cast<std::uint32_t>(d->as_uint());
-    }
-    if (const JsonValue* t = doc.find("timeout_ms")) {
-      if (!t->is_number())
-        return invalid_spec(spec.id, "'timeout_ms' must be a number");
-      spec.timeout_ms = t->as_uint();
-    }
+    if (!read_uint("max_depth", spec.search_max_depth))
+      return invalid_spec(spec.id, "'max_depth' must be a number");
+    if (!read_uint("timeout_ms", spec.timeout_ms))
+      return invalid_spec(spec.id, "'timeout_ms' must be a number");
     return spec;
   }
   if ((network != nullptr) == (network_file != nullptr))
@@ -153,13 +172,6 @@ JobSpec job_from_json_line(const std::string& line,
     spec.network_text = text.str();
   }
 
-  const auto read_uint = [&](const char* key, auto& out) -> bool {
-    if (const JsonValue* v = doc.find(key)) {
-      if (!v->is_number()) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(v->as_uint());
-    }
-    return true;
-  };
   if (!read_uint("trials", spec.trials))
     return invalid_spec(spec.id, "'trials' must be a number");
   if (!read_uint("seed", spec.seed))

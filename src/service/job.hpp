@@ -80,8 +80,27 @@ struct JobSpec {
   std::uint64_t client_tag = 0;
 };
 
-/// Parses one JSONL job line (never throws; see header comment).
-/// `line_number` is 1-based and provides the default id "line-<k>".
+/// One wire line after its single JSON parse. Never throws: a line that
+/// is not valid JSON leaves `doc` null and the parser's message in
+/// `json_error`.
+struct JobLine {
+  explicit JobLine(const std::string& line);
+
+  JsonValue doc;
+  std::string json_error;
+
+  /// The raw "op" string; empty when missing or not a string.
+  std::string op() const;
+  /// The id the line's response carries: "id" (a string, or a number in
+  /// decimal), else "line-<line_number>".
+  std::string id(std::uint64_t line_number) const;
+};
+
+/// Builds the job spec from a parsed line (never throws; see header
+/// comment). `line_number` is 1-based and provides the default id.
+JobSpec job_from_json(const JobLine& line, std::uint64_t line_number);
+
+/// Parses one JSONL job line: job_from_json(JobLine(line), line_number).
 JobSpec job_from_json_line(const std::string& line, std::uint64_t line_number);
 
 /// A network parsed from text into whichever model the file declared,
@@ -92,6 +111,15 @@ struct ParsedNetwork {
   std::optional<IteratedRdn> iterated_form;
 
   const char* model_name() const noexcept;
+
+  /// Calls `f` with the network in its own model: the iterated or
+  /// register form when the text declared one, else the circuit.
+  template <typename F>
+  auto visit(F&& f) const {
+    if (iterated_form) return f(*iterated_form);
+    if (register_form) return f(*register_form);
+    return f(circuit);
+  }
 };
 
 /// Parses any of the three text formats (dispatching on the leading
@@ -108,7 +136,6 @@ struct JobResult {
   std::string error;      // when !ok
   JsonValue payload;      // kind-specific object when ok; lint jobs also
                           // carry their diagnostics here on failure
-  bool from_cache = false;  // telemetry only; never serialized
   std::uint64_t client_tag = 0;  // echo of JobSpec::client_tag; never serialized
 
   /// The JSONL result line (no trailing newline). Deterministic: contains

@@ -49,28 +49,14 @@ JsonValue LatencyHistogram::to_json() const {
   return out;
 }
 
-void Telemetry::record_queue_high_water(std::size_t depth) noexcept {
-  std::uint64_t seen = queue_high_water_.load(std::memory_order_relaxed);
-  const auto d = static_cast<std::uint64_t>(depth);
-  while (d > seen && !queue_high_water_.compare_exchange_weak(
-                         seen, d, std::memory_order_relaxed)) {
-  }
-}
-
 void Telemetry::count_witness_revalidation(bool passed) noexcept {
   witness_revalidations_.fetch_add(1, std::memory_order_relaxed);
   if (!passed)
     witness_revalidation_failures_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::uint64_t Telemetry::total_submitted() const noexcept {
-  std::uint64_t total = 0;
-  for (const JobKindTelemetry& k : kinds_)
-    total += k.submitted.load(std::memory_order_relaxed);
-  return total;
-}
-
-JsonValue Telemetry::to_json(const JsonValue* cache_stats) const {
+JsonValue Telemetry::to_json(std::uint64_t queue_high_water,
+                             const JsonValue& cache_stats) const {
   JsonValue jobs = JsonValue::object();
   for (std::size_t i = 0; i < kinds_.size(); ++i) {
     const JobKindTelemetry& k = kinds_[i];
@@ -89,13 +75,12 @@ JsonValue Telemetry::to_json(const JsonValue* cache_stats) const {
   }
   JsonValue out = JsonValue::object();
   out.set("jobs", std::move(jobs));
-  out.set("queue_high_water",
-          queue_high_water_.load(std::memory_order_relaxed));
+  out.set("queue_high_water", queue_high_water);
   out.set("witness_revalidations",
           witness_revalidations_.load(std::memory_order_relaxed));
   out.set("witness_revalidation_failures",
           witness_revalidation_failures_.load(std::memory_order_relaxed));
-  if (cache_stats != nullptr) out.set("cache", *cache_stats);
+  out.set("cache", cache_stats);
   return out;
 }
 

@@ -63,19 +63,16 @@ class Telemetry {
     return kinds_.at(kind_index);
   }
 
-  void record_queue_high_water(std::size_t depth) noexcept;
   void count_witness_revalidation(bool passed) noexcept;
 
-  std::uint64_t total_submitted() const noexcept;
-
-  /// The full telemetry document; `cache_stats` (if non-null) is embedded
-  /// under "cache".
-  JsonValue to_json(const JsonValue* cache_stats = nullptr) const;
+  /// The full telemetry document; `queue_high_water` is the owner's queue
+  /// depth mark and `cache_stats` is embedded under "cache".
+  JsonValue to_json(std::uint64_t queue_high_water,
+                    const JsonValue& cache_stats) const;
 
  private:
   // Indexed by JobKind (Info..Invalid).
   std::array<JobKindTelemetry, kJobKindCount> kinds_{};
-  std::atomic<std::uint64_t> queue_high_water_{0};
   std::atomic<std::uint64_t> witness_revalidations_{0};
   std::atomic<std::uint64_t> witness_revalidation_failures_{0};
 };

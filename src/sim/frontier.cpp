@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -131,22 +130,12 @@ constexpr std::size_t kBucketedDedupMin = std::size_t{1} << 15;
 /// Radix bucket count for large dedups, sized from the detected core
 /// topology (a few buckets per core for load balance under skewed
 /// state distributions, clamped to [16, 256] and rounded to a power of
-/// two) instead of a hard-coded constant. SHUFFLEBOUND_DEDUP_SHARDS
-/// overrides it for experiments; the partition never changes results,
-/// only locality and balance.
+/// two) instead of a hard-coded constant. The partition never changes
+/// results, only locality and balance.
 unsigned dedup_bucket_bits() {
   static const unsigned bits = [] {
-    unsigned buckets = 0;
-    if (const char* env = std::getenv("SHUFFLEBOUND_DEDUP_SHARDS");
-        env != nullptr && *env != '\0') {
-      buckets = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    }
-    if (buckets == 0) {
-      unsigned cores = std::thread::hardware_concurrency();
-      if (cores == 0) cores = 1;
-      buckets = cores * 4;
-    }
-    buckets = std::bit_ceil(std::clamp(buckets, 16u, 256u));
+    const unsigned cores = std::max(std::thread::hardware_concurrency(), 1u);
+    const unsigned buckets = std::bit_ceil(std::clamp(cores * 4, 16u, 256u));
     return static_cast<unsigned>(std::bit_width(buckets)) - 1;
   }();
   return bits;

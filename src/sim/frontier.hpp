@@ -29,8 +29,7 @@
 //    sorted, so concatenating sorted buckets is globally sorted - and
 //    the per-bucket sorts run serially or over ThreadPool::parallel_for
 //    with bitwise-identical results. The bucket count is sized from the
-//    detected core topology (SHUFFLEBOUND_DEDUP_SHARDS overrides it),
-//    not a hard-coded constant.
+//    detected core topology, not a hard-coded constant.
 //
 // Memory layout (the part that sets the certifiable-n ceiling): a state
 // that is SORTED along its component's output order is a fixed point of

@@ -142,6 +142,23 @@ TEST(Fuzz, OverLimitWidthsAreRejected) {
                          "\nend\n");
 }
 
+// A CRC-valid v2 certificate claiming n = 4e9 with an 8-byte body: the
+// decoder rejects it before reserving the n-symbol pattern.
+TEST(Fuzz, CertificateWidthBeyondBodyIsRejected) {
+  std::ifstream in(std::filesystem::path(SB_TEST_DATA_DIR) / "fuzz_seeds" /
+                   "certificate_v2_huge_n.txt");
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  try {
+    (void)certificate_from_text(buf.str());
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("n exceeds body size"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Fuzz, CircuitParserSurvivesCorruption) {
   const std::string seed_text = to_text(bitonic_sorting_network(8));
   fuzz_parser(seed_text,

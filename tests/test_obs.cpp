@@ -324,6 +324,50 @@ TEST_F(ObsTest, QueueWaitSpansComeFromEngineSubmission) {
   EXPECT_TRUE(saw_job_span);
 }
 
+// A cached refutation is replayed inside the probe span that served it:
+// the second of two identical refute jobs records its witness check
+// within service/cache_probe, and only the first job executes.
+TEST_F(ObsTest, RefuteHitRevalidatesInsideTheCacheProbeSpan) {
+  obs::set_enabled(true);
+  Prng rng(7);
+  const std::string net = to_text(random_shuffle_network(32, 8, rng));
+  {
+    EngineConfig config;
+    config.workers = 1;
+    AnalysisEngine engine(std::move(config), [](const JobResult&) {});
+    for (const char* id : {"r0", "r1"}) {
+      JobSpec spec;
+      spec.id = id;
+      spec.kind = JobKind::Refute;
+      spec.network_text = net;
+      ASSERT_TRUE(engine.submit(std::move(spec)));
+    }
+    engine.finish();
+  }
+  const std::vector<obs::SpanRecord> spans = obs::registry().snapshot_spans();
+  const auto named = [](const obs::SpanRecord& s, const char* cat,
+                        const char* name) {
+    return std::string(s.cat) == cat && std::string(s.name) == name;
+  };
+  std::size_t probes = 0;
+  std::size_t executes = 0;
+  std::size_t checks_in_probe = 0;
+  for (const obs::SpanRecord& probe : spans) {
+    executes += named(probe, "service", "execute") ? 1 : 0;
+    if (!named(probe, "service", "cache_probe")) continue;
+    ++probes;
+    for (const obs::SpanRecord& check : spans) {
+      if (named(check, "refuter", "witness_check") && check.tid == probe.tid &&
+          check.start_us >= probe.start_us &&
+          check.start_us + check.dur_us <= probe.start_us + probe.dur_us)
+        ++checks_in_probe;
+    }
+  }
+  EXPECT_EQ(probes, 2u);
+  EXPECT_EQ(executes, 1u);
+  EXPECT_EQ(checks_in_probe, 1u);
+}
+
 // A traced exhaustive search spans each BFS level: expansion on every
 // level it enters, dedup and subsumption on every level that does not
 // end the search (n = 6 enters depths 3, 4 and accepts at 5).

@@ -123,6 +123,7 @@ class TestConn {
   TestConn& operator=(const TestConn&) = delete;
 
   bool connected() const { return fd_ >= 0; }
+  int fd() const { return fd_; }
 
   void send_line(const std::string& line) {
     const std::string framed = line + "\n";
@@ -245,6 +246,42 @@ TEST(Server, MixedOpsComeBackInRequestOrder) {
   EXPECT_FALSE(find_path(stats, {"result", "server", "draining"})->as_bool());
   EXPECT_NE(find_path(stats, {"result", "cache", "disk"}), nullptr);
 
+  EXPECT_EQ(rs.stop(), 0);
+}
+
+TEST(Server, MultiMegabyteLineInSmallWritesGetsOneResponse) {
+  ServerConfig config;
+  config.workers = 1;
+  RunningServer rs(config);
+
+  // An info job whose network text carries ~4 MiB of comment lines.
+  std::string text = "circuit 4\n";
+  while (text.size() < (std::size_t{4} << 20))
+    text += "# padding padding padding padding padding padding padding\n";
+  text += "level 0+1 2+3\nend\n";
+  const std::string framed = job_line("info", text, "big") + "\n";
+
+  TestConn conn(rs.port());
+  ASSERT_TRUE(conn.connected());
+  for (std::size_t off = 0; off < framed.size(); off += 1024) {
+    const std::string piece = framed.substr(off, 1024);
+    std::size_t sent = 0;
+    while (sent < piece.size()) {
+      const ssize_t n = ::send(conn.fd(), piece.data() + sent,
+                               piece.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed";
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+  conn.half_close();
+
+  const auto line = conn.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(response_id(*line), "big");
+  const JsonValue doc = JsonValue::parse(*line);
+  EXPECT_TRUE(find_path(doc, {"ok"})->as_bool()) << *line;
+  EXPECT_EQ(find_path(doc, {"result", "width"})->as_uint(), 4u);
+  EXPECT_TRUE(conn.at_eof());
   EXPECT_EQ(rs.stop(), 0);
 }
 

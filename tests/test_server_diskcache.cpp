@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "util/crc32.hpp"
+
 namespace shufflebound {
 namespace {
 
@@ -249,6 +251,43 @@ TEST_F(DiskCacheTest, GarbageIndexFileIsIgnoredNotFatal) {
   DiskBackedCache reopened(config());  // must not throw
   EXPECT_EQ(reopened.tier_stats().entries, 1u);  // recovered via log scan
   ASSERT_TRUE(reopened.lookup(key(1)).has_value());
+}
+
+TEST_F(DiskCacheTest, WrappingIndexCountIsIgnoredNotFatal) {
+  std::string idx_path;
+  {
+    DiskBackedCache cache(config());
+    cache.insert(key(1), payload("a"));
+    cache.save_index();
+    idx_path = cache.index_path();
+  }
+  std::vector<std::uint8_t> blob;
+  {
+    std::ifstream idx(idx_path, std::ios::binary);
+    blob.assign(std::istreambuf_iterator<char>(idx),
+                std::istreambuf_iterator<char>());
+  }
+  // magic(8) log_end(8) count(8) one 36-byte entry crc(4). A count of
+  // 2^62 + 1 makes count * 36 wrap to 36, so the size check alone would
+  // pass; the CRC is recomputed so only the count is hostile.
+  ASSERT_EQ(blob.size(), 64u);
+  const std::uint64_t count = (std::uint64_t{1} << 62) + 1;
+  for (int i = 0; i < 8; ++i)
+    blob[16 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+  const std::uint32_t crc = crc32_ieee(blob.data(), blob.size() - 4);
+  for (int i = 0; i < 4; ++i)
+    blob[60 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  {
+    std::ofstream idx(idx_path, std::ios::binary | std::ios::trunc);
+    idx.write(reinterpret_cast<const char*>(blob.data()),
+              static_cast<std::streamsize>(blob.size()));
+  }
+
+  DiskBackedCache reopened(config());  // must not crash
+  EXPECT_EQ(reopened.tier_stats().entries, 1u);  // recovered via log scan
+  const auto hit = reopened.lookup(key(1));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->dump(), payload("a").dump());
 }
 
 TEST_F(DiskCacheTest, ForeignLogFileIsDiscardedNotFatal) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -459,6 +460,142 @@ TEST(ServiceEngine, TelemetryCountsSubmissionsPerKind) {
       telemetry_uint(run.telemetry, {"jobs", "count-sorted", "submitted"}), 2u);
   EXPECT_EQ(telemetry_uint(run.telemetry, {"jobs", "invalid", "submitted"}), 1u);
   EXPECT_EQ(telemetry_uint(run.telemetry, {"jobs", "invalid", "failed"}), 1u);
+}
+
+
+// --- One path per job, pinned across entry points and cache states -----
+
+/// A job stream touching every kind and every early exit: a malformed
+/// line, an unknown op, a network parse error, a dirty lint, a search,
+/// and duplicates (the second refute is a cache hit that revalidates).
+std::vector<std::string> every_kind_job_lines() {
+  const std::string sorter = sorter8_text();
+  const std::string broken = broken16_text();
+  const std::string shallow = shallow_shuffle_text();
+  JsonValue count = JsonValue::object();
+  count.set("id", "m");
+  count.set("op", "count-sorted");
+  count.set("network", broken);
+  count.set("trials", 300);
+  count.set("seed", 5);
+  const std::string search = "{\"id\":\"s\",\"op\":\"search\",\"n\":4}";
+  return {job_line("info", sorter, "i"),
+          job_line("certify", sorter, "c"),
+          job_line("certify", broken, "b"),
+          job_line("refute", shallow, "r0"),
+          job_line("refute", shallow, "r1"),
+          count.dump(),
+          job_line("lint", sorter, "l0"),
+          job_line("lint", "circuit 4\nlevel 0+9\nend\n", "l1"),
+          job_line("analyze", sorter, "a"),
+          search,
+          "this line is not json",
+          job_line("certify", "circuit nonsense\n", "p"),
+          job_line("frobnicate", sorter, "u"),
+          job_line("lint", sorter, "l2"),
+          search};
+}
+
+/// Per-kind telemetry counts: submitted, completed, failed, cache hits,
+/// cache misses and cache_probe histogram samples.
+struct KindCounts {
+  const char* kind;
+  std::uint64_t submitted, completed, failed, hits, misses, probes;
+  bool operator==(const KindCounts&) const = default;
+};
+
+std::vector<KindCounts> kind_counts(const JsonValue& telemetry) {
+  std::vector<KindCounts> out;
+  for (const char* kind : {"info", "certify", "refute", "count-sorted", "lint",
+                           "analyze", "search", "invalid"}) {
+    const JsonValue* entry = telemetry.find("jobs")->find(kind);
+    if (entry == nullptr) {
+      out.push_back({kind, 0, 0, 0, 0, 0, 0});
+      continue;
+    }
+    const JsonValue* probe = entry->find("cache_probe");
+    out.push_back({kind, entry->find("submitted")->as_uint(),
+                   entry->find("completed")->as_uint(),
+                   entry->find("failed")->as_uint(),
+                   entry->find("cache_hits")->as_uint(),
+                   entry->find("cache_misses")->as_uint(),
+                   probe == nullptr ? 0 : probe->find("count")->as_uint()});
+  }
+  return out;
+}
+
+void PrintTo(const KindCounts& c, std::ostream* os) {
+  *os << c.kind << "{" << c.submitted << "," << c.completed << ","
+      << c.failed << "," << c.hits << "," << c.misses << "," << c.probes
+      << "}";
+}
+
+TEST(ServiceEngine, EveryKindGivesOneResultAcrossEntryPointsAndCacheStates) {
+  const std::vector<std::string> lines = every_kind_job_lines();
+
+  std::vector<std::string> isolated;
+  std::uint64_t line_number = 0;
+  for (const std::string& line : lines)
+    isolated.push_back(
+        AnalysisEngine::execute(job_from_json_line(line, ++line_number))
+            .to_json_line());
+
+  // One worker: a duplicate is promised a hit only once its twin finished.
+  EngineConfig shared;
+  shared.workers = 1;
+  shared.cache = std::make_shared<ResultCache>();
+  const BatchRun cold = run_batch(lines, shared);
+  const BatchRun warm = run_batch(lines, shared);
+  EngineConfig uncached;
+  uncached.workers = 1;
+  uncached.cache_enabled = false;
+  const BatchRun off = run_batch(lines, uncached);
+
+  ASSERT_EQ(isolated.size(), lines.size());
+  EXPECT_EQ(cold.lines, isolated);
+  EXPECT_EQ(warm.lines, isolated);
+  EXPECT_EQ(off.lines, isolated);
+
+  // Spot-check that the stream reaches each exit it is meant to.
+  const auto error_of = [&](std::size_t i) {
+    const JsonValue doc = JsonValue::parse(isolated[i]);
+    const JsonValue* error = doc.find("error");
+    return error == nullptr ? std::string() : error->as_string();
+  };
+  EXPECT_EQ(error_of(0), "");
+  EXPECT_EQ(error_of(7).rfind("lint: ", 0), 0u);
+  EXPECT_EQ(error_of(9), "");
+  EXPECT_NE(error_of(10), "");
+  EXPECT_EQ(error_of(11).rfind("network: ", 0), 0u);
+  EXPECT_EQ(error_of(12), "unknown op 'frobnicate'");
+  EXPECT_NE(isolated[4].find("\"status\":\"refuted\""), std::string::npos);
+
+  const std::vector<KindCounts> cold_counts = {
+      {"info", 1, 1, 0, 0, 1, 1},    {"certify", 3, 2, 1, 0, 2, 2},
+      {"refute", 2, 2, 0, 1, 1, 2},  {"count-sorted", 1, 1, 0, 0, 1, 1},
+      {"lint", 3, 2, 1, 1, 2, 3},    {"analyze", 1, 1, 0, 0, 1, 1},
+      {"search", 2, 2, 0, 1, 1, 2},  {"invalid", 2, 0, 2, 0, 0, 0}};
+  const std::vector<KindCounts> warm_counts = {
+      {"info", 1, 1, 0, 1, 0, 1},    {"certify", 3, 2, 1, 2, 0, 2},
+      {"refute", 2, 2, 0, 2, 0, 2},  {"count-sorted", 1, 1, 0, 1, 0, 1},
+      {"lint", 3, 2, 1, 2, 1, 3},    {"analyze", 1, 1, 0, 1, 0, 1},
+      {"search", 2, 2, 0, 2, 0, 2},  {"invalid", 2, 0, 2, 0, 0, 0}};
+  const std::vector<KindCounts> off_counts = {
+      {"info", 1, 1, 0, 0, 0, 0},    {"certify", 3, 2, 1, 0, 0, 0},
+      {"refute", 2, 2, 0, 0, 0, 0},  {"count-sorted", 1, 1, 0, 0, 0, 0},
+      {"lint", 3, 2, 1, 0, 0, 0},    {"analyze", 1, 1, 0, 0, 0, 0},
+      {"search", 2, 2, 0, 0, 0, 0},  {"invalid", 2, 0, 2, 0, 0, 0}};
+  EXPECT_EQ(kind_counts(cold.telemetry), cold_counts);
+  EXPECT_EQ(kind_counts(warm.telemetry), warm_counts);
+  EXPECT_EQ(kind_counts(off.telemetry), off_counts);
+
+  // Every refute hit replays its witness before it is served.
+  EXPECT_EQ(telemetry_uint(cold.telemetry, {"witness_revalidations"}), 1u);
+  EXPECT_EQ(telemetry_uint(warm.telemetry, {"witness_revalidations"}), 2u);
+  EXPECT_EQ(telemetry_uint(off.telemetry, {"witness_revalidations"}), 0u);
+  for (const BatchRun* run : {&cold, &warm, &off})
+    EXPECT_EQ(
+        telemetry_uint(run->telemetry, {"witness_revalidation_failures"}), 0u);
 }
 
 }  // namespace
