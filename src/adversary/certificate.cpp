@@ -279,6 +279,11 @@ std::string to_chunked_text(const Certificate& cert, std::size_t chunk_bytes) {
   return out.str();
 }
 
+std::string certificate_text(const Certificate& cert, bool force_chunked) {
+  return force_chunked || cert.n >= 512 ? to_chunked_text(cert)
+                                        : to_text(cert);
+}
+
 bool is_chunked_certificate_text(const std::string& text) {
   std::istringstream in(text);
   std::string line;

@@ -12,49 +12,7 @@ namespace shufflebound {
 namespace {
 
 char op_char(GateOp op) {
-  switch (op) {
-    case GateOp::CompareAsc:
-      return '+';
-    case GateOp::CompareDesc:
-      return '-';
-    case GateOp::Exchange:
-      return 'x';
-    case GateOp::Passthrough:
-      return '0';
-  }
-  return '?';
-}
-
-GateOp gate_op_from_char(char c, std::size_t line_no) {
-  switch (c) {
-    case '+':
-      return GateOp::CompareAsc;
-    case '-':
-      return GateOp::CompareDesc;
-    case 'x':
-      return GateOp::Exchange;
-    default:
-      throw std::invalid_argument("network text line " +
-                                  std::to_string(line_no) +
-                                  ": unknown gate op '" + c + "'");
-  }
-}
-
-GateOp register_op_from_char(char c, std::size_t line_no) {
-  switch (c) {
-    case '+':
-      return GateOp::CompareAsc;
-    case '-':
-      return GateOp::CompareDesc;
-    case '1':
-      return GateOp::Exchange;
-    case '0':
-      return GateOp::Passthrough;
-    default:
-      throw std::invalid_argument("network text line " +
-                                  std::to_string(line_no) +
-                                  ": unknown register op '" + c + "'");
-  }
+  return op == GateOp::Exchange ? 'x' : gate_op_symbol(op);
 }
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
@@ -62,24 +20,11 @@ GateOp register_op_from_char(char c, std::size_t line_no) {
                               ": " + what);
 }
 
-/// Splits text into (line number, non-empty, comment-stripped) lines.
-std::vector<std::pair<std::size_t, std::string>> logical_lines(
-    const std::string& text) {
-  std::vector<std::pair<std::size_t, std::string>> out;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    // Trim.
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    const auto last = line.find_last_not_of(" \t\r");
-    out.emplace_back(line_no, line.substr(first, last - first + 1));
-  }
-  return out;
+GateOp register_op_from_char(char c, std::size_t line_no) {
+  for (const GateOp op : {GateOp::CompareAsc, GateOp::CompareDesc,
+                          GateOp::Exchange, GateOp::Passthrough})
+    if (gate_op_symbol(op) == c) return op;
+  fail(line_no, std::string("unknown register op '") + c + "'");
 }
 
 }  // namespace
@@ -87,16 +32,18 @@ std::vector<std::pair<std::size_t, std::string>> logical_lines(
 std::string to_text(const ComparatorNetwork& net) {
   std::ostringstream out;
   out << "circuit " << net.width() << "\n";
-  for (const Level& level : net.levels()) {
-    out << "level";
-    for (const Gate& g : level.gates) {
-      // Emit in constructor orientation: first endpoint receives the min
-      // for '+'. Stored form is already normalized with op relative to lo.
-      out << ' ' << g.lo << op_char(g.op) << g.hi;
-    }
-    out << "\n";
-  }
+  for (const Level& level : net.levels()) out << to_text(level) << "\n";
   out << "end\n";
+  return out.str();
+}
+
+std::string to_text(const Level& level) {
+  std::ostringstream out;
+  out << "level";
+  // Emit in constructor orientation: first endpoint receives the min for
+  // '+'. Stored form is already normalized with op relative to lo.
+  for (const Gate& g : level.gates)
+    out << ' ' << g.lo << op_char(g.op) << g.hi;
   return out.str();
 }
 
@@ -130,102 +77,69 @@ std::string to_text(const RegisterNetwork& net) {
   return out.str();
 }
 
-ComparatorNetwork circuit_from_text(const std::string& text) {
-  const auto lines = logical_lines(text);
-  if (lines.empty()) throw std::invalid_argument("network text: empty input");
-  std::size_t idx = 0;
-  std::istringstream head(lines[idx].second);
-  std::string keyword;
-  wire_t width = 0;
-  head >> keyword >> width;
-  if (keyword != "circuit" || head.fail())
-    fail(lines[idx].first, "expected 'circuit <width>'");
-  check_text_width("circuit", width);
-  ComparatorNetwork net(width);
-  ++idx;
-  for (; idx < lines.size(); ++idx) {
-    const auto& [line_no, content] = lines[idx];
-    std::istringstream in(content);
-    std::string word;
-    in >> word;
-    if (word == "end") return net;
-    if (word != "level") fail(line_no, "expected 'level' or 'end'");
-    Level level;
-    std::string gate_text;
-    while (in >> gate_text) {
-      const auto op_pos = gate_text.find_first_of("+-x");
-      if (op_pos == std::string::npos || op_pos == 0 ||
-          op_pos + 1 >= gate_text.size())
-        fail(line_no, "malformed gate '" + gate_text + "'");
-      // Gate construction itself rejects self-loops, and stoul rejects
-      // non-numeric / oversized endpoints; both must surface with the
-      // offending line, like every other parse error.
-      try {
-        const auto a = std::stoul(gate_text.substr(0, op_pos));
-        const auto b = std::stoul(gate_text.substr(op_pos + 1));
-        level.gates.emplace_back(static_cast<wire_t>(a), static_cast<wire_t>(b),
-                                 gate_op_from_char(gate_text[op_pos], line_no));
-      } catch (const std::exception& e) {
-        fail(line_no, e.what());
-      }
-    }
+ComparatorNetwork circuit_from_source(const NetworkSource& src) {
+  if (src.header_line == 0)
+    throw std::invalid_argument("network text: empty input");
+  const auto width = declared_width(src, SourceModel::Circuit);
+  if (!width) fail(src.header_line, "expected 'circuit <width>'");
+  ComparatorNetwork net(*width);
+  for (const SourceLevel& level : src.levels) {
+    if (src.stray_line != 0 && src.stray_line < level.line) break;
     try {
-      net.add_level(std::move(level));
+      append_level(net, level);
     } catch (const std::invalid_argument& e) {
-      fail(line_no, e.what());
+      fail(level.line, e.what());
     }
   }
-  fail(lines.back().first, "missing 'end'");
+  if (src.stray_line != 0) fail(src.stray_line, "expected 'level' or 'end'");
+  if (!src.terminated) fail(src.last_line, "missing 'end'");
+  return net;
+}
+
+ComparatorNetwork circuit_from_text(const std::string& text) {
+  return circuit_from_source(scan_network_text(text));
+}
+
+RegisterNetwork register_from_source(const NetworkSource& src) {
+  if (src.header_line == 0)
+    throw std::invalid_argument("network text: empty input");
+  const auto width = declared_width(src, SourceModel::Register);
+  if (!width) fail(src.header_line, "expected 'register <width>'");
+  RegisterNetwork net(*width);
+  const std::size_t arity = *width / 2;
+  for (const SourceStep& step : src.steps) {
+    if (src.stray_line != 0 && src.stray_line < step.line) break;
+    if (!step.kind_ok) fail(step.line, "expected 'shuffle' or 'perm'");
+    Permutation perm;
+    if (step.shuffle) {
+      perm = shuffle_permutation(*width);
+    } else {
+      if (!step.bad_entry.empty())
+        fail(step.line, "permutation entry '" + std::string(step.bad_entry) +
+                            "' is not an integer");
+      if (step.perm.size() < *width) fail(step.line, "short permutation");
+      try {
+        perm = Permutation(wire_image(step.perm, *width));
+      } catch (const std::invalid_argument& e) {
+        fail(step.line, e.what());
+      }
+    }
+    if (step.perm.size() > *width || !step.tail_ok ||
+        step.ops.size() != arity)
+      fail(step.line,
+           "expected '; ops <" + std::to_string(arity) + " symbols>'");
+    std::vector<GateOp> ops(arity);
+    for (std::size_t k = 0; k < arity; ++k)
+      ops[k] = register_op_from_char(step.ops[k], step.line);
+    net.add_step(RegisterStep{std::move(perm), std::move(ops)});
+  }
+  if (src.stray_line != 0) fail(src.stray_line, "expected 'step' or 'end'");
+  if (!src.terminated) fail(src.last_line, "missing 'end'");
+  return net;
 }
 
 RegisterNetwork register_from_text(const std::string& text) {
-  const auto lines = logical_lines(text);
-  if (lines.empty()) throw std::invalid_argument("network text: empty input");
-  std::size_t idx = 0;
-  std::istringstream head(lines[idx].second);
-  std::string keyword;
-  wire_t width = 0;
-  head >> keyword >> width;
-  if (keyword != "register" || head.fail())
-    fail(lines[idx].first, "expected 'register <width>'");
-  check_text_width("register", width);
-  RegisterNetwork net(width);
-  ++idx;
-  for (; idx < lines.size(); ++idx) {
-    const auto& [line_no, content] = lines[idx];
-    std::istringstream in(content);
-    std::string word;
-    in >> word;
-    if (word == "end") return net;
-    if (word != "step") fail(line_no, "expected 'step' or 'end'");
-    in >> word;
-    Permutation perm;
-    if (word == "shuffle") {
-      perm = shuffle_permutation(width);
-    } else if (word == "perm") {
-      std::vector<wire_t> image(width);
-      for (wire_t r = 0; r < width; ++r) {
-        if (!(in >> image[r])) fail(line_no, "short permutation");
-      }
-      try {
-        perm = Permutation(std::move(image));
-      } catch (const std::invalid_argument& e) {
-        fail(line_no, e.what());
-      }
-    } else {
-      fail(line_no, "expected 'shuffle' or 'perm'");
-    }
-    std::string sep, ops_word, ops_text;
-    in >> sep >> ops_word >> ops_text;
-    if (sep != ";" || ops_word != "ops" || ops_text.size() != width / 2)
-      fail(line_no, "expected '; ops <" + std::to_string(width / 2) +
-                        " symbols>'");
-    std::vector<GateOp> ops(width / 2);
-    for (std::size_t k = 0; k < ops.size(); ++k)
-      ops[k] = register_op_from_char(ops_text[k], line_no);
-    net.add_step(RegisterStep{std::move(perm), std::move(ops)});
-  }
-  fail(lines.back().first, "missing 'end'");
+  return register_from_source(scan_network_text(text));
 }
 
 std::string to_dot(const ComparatorNetwork& net) {

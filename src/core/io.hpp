@@ -10,7 +10,9 @@
 // where <a><op><b> is e.g. "3+7" (min of wires 3,7 to wire 3), "3-7"
 // (max to 3), "3x7" (exchange); register ops are a string over
 // {+,-,0,1}, one symbol per register pair. A step whose permutation is
-// the shuffle may be written "step shuffle ; ops <sym>*".
+// the shuffle may be written "step shuffle ; ops <sym>*". Numbers are
+// unsigned decimal digits. Every network text is read by the one scanner
+// of core/source.hpp; the parsers here validate and build from its record.
 //
 // Also provides Graphviz DOT export of circuits (wires as horizontal
 // rails, gates as labeled verticals) for inspection.
@@ -21,14 +23,16 @@
 
 #include "core/comparator_network.hpp"
 #include "core/register_network.hpp"
+#include "core/source.hpp"
 
 namespace shufflebound {
 
 /// Widest network any text parser accepts (circuit, register and, in
-/// networks/rdn_io.hpp, iterated). Checked right after the header line,
-/// before any width-sized allocation, so a hostile header is rejected
-/// with std::invalid_argument instead of exhausting memory. Far above
-/// every width the engines and experiments use (the largest is 2^16).
+/// networks/rdn_io.hpp, iterated). The scanner checks it at the header
+/// line, before any width-sized allocation, so a hostile header is
+/// rejected (std::invalid_argument, or a width-invalid lint error) instead
+/// of exhausting memory. Far above every width the engines and
+/// experiments use (the largest is 2^16).
 inline constexpr wire_t kMaxTextWidth = wire_t{1} << 20;
 
 /// Throws std::invalid_argument naming kMaxTextWidth when `width`
@@ -37,11 +41,16 @@ void check_text_width(const char* format, wire_t width);
 
 std::string to_text(const ComparatorNetwork& net);
 std::string to_text(const RegisterNetwork& net);
+/// One "level <a><op><b> ..." line (no newline), shared by two formats.
+std::string to_text(const Level& level);
 
-/// Parses either format back (dispatches on the first keyword). Throws
-/// std::invalid_argument with a line number on malformed input.
+/// Parses one format back. Throws std::invalid_argument with a line
+/// number on malformed input. The *_from_source forms validate and build
+/// from an already-scanned text.
 ComparatorNetwork circuit_from_text(const std::string& text);
 RegisterNetwork register_from_text(const std::string& text);
+ComparatorNetwork circuit_from_source(const NetworkSource& src);
+RegisterNetwork register_from_source(const NetworkSource& src);
 
 /// Graphviz DOT rendering of a circuit.
 std::string to_dot(const ComparatorNetwork& net);

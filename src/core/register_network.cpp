@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "core/comparator_network.hpp"
+#include "util/bits.hpp"
 
 namespace shufflebound {
 
@@ -20,6 +21,7 @@ void RegisterNetwork::add_shuffle_step(std::vector<GateOp> ops) {
 
 bool RegisterNetwork::is_shuffle_based() const {
   if (width_ == 0) return true;
+  if (!is_pow2(width_)) return false;  // no shuffle exists on this width
   const Permutation shuffle = shuffle_permutation(width_);
   for (const RegisterStep& step : steps_)
     if (step.perm != shuffle) return false;

@@ -44,7 +44,8 @@ class RegisterNetwork {
   /// entries.
   void add_shuffle_step(std::vector<GateOp> ops);
 
-  /// True iff every step's permutation is the shuffle permutation.
+  /// True iff every step's permutation is the shuffle permutation (never,
+  /// when the width is not a power of two).
   bool is_shuffle_based() const;
 
   std::size_t comparator_count() const noexcept;

@@ -9,6 +9,7 @@
 
 #include "analyze/analyzer.hpp"
 #include "core/comparator_network.hpp"
+#include "core/source.hpp"
 #include "networks/rdn.hpp"
 #include "perm/permutation.hpp"
 #include "util/bits.hpp"
@@ -30,14 +31,6 @@ void emit(LintReport& report, LintSeverity severity, const char* rule,
 }
 
 char flipped_op(char op) { return op == '+' ? '-' : op == '-' ? '+' : op; }
-
-GateOp gate_op_of(char op) {
-  switch (op) {
-    case '+': return GateOp::CompareAsc;
-    case '-': return GateOp::CompareDesc;
-    default: return GateOp::Exchange;
-  }
-}
 
 /// Validates that `image` spells a permutation of 0..width-1; on failure
 /// returns a human explanation.
@@ -93,8 +86,8 @@ void check_level(LintReport& report, long long width,
     bool in_model = true;
     if (gate.a == gate.b) {
       emit(report, LintSeverity::Error, "gate-self-loop", level.line, unit,
-           "gate '" + gate.text + "' connects wire " + std::to_string(gate.a) +
-               " to itself",
+           "gate '" + std::string(gate.text) + "' connects wire " +
+               std::to_string(gate.a) + " to itself",
            "a comparator element takes two distinct wires");
       in_model = false;
     }
@@ -102,8 +95,9 @@ void check_level(LintReport& report, long long width,
       if (endpoint < 0 || endpoint >= width) {
         emit(report, LintSeverity::Error, "wire-out-of-range", level.line,
              unit,
-             "gate '" + gate.text + "' endpoint " + std::to_string(endpoint) +
-                 " is outside wires 0.." + std::to_string(width - 1));
+             "gate '" + std::string(gate.text) + "' endpoint " +
+                 std::to_string(endpoint) + " is outside wires 0.." +
+                 std::to_string(width - 1));
         in_model = false;
       }
     }
@@ -114,7 +108,8 @@ void check_level(LintReport& report, long long width,
                                     std::to_string(gate.a);
       emit(report, LintSeverity::Warning, "inverted-orientation", level.line,
            unit,
-           "gate '" + gate.text + "' lists its higher wire first; the '" +
+           "gate '" + std::string(gate.text) +
+               "' lists its higher wire first; the '" +
                std::string(1, gate.op) +
                "' orientation silently flips when endpoints are normalized",
            "spell it '" + canonical + "' to make the orientation explicit");
@@ -125,8 +120,8 @@ void check_level(LintReport& report, long long width,
         emit(report, LintSeverity::Error, "level-wire-conflict", level.line,
              unit,
              "wire " + std::to_string(endpoint) + " is used by both '" +
-                 it->second->text + "' and '" + gate.text +
-                 "' in the same level",
+                 std::string(it->second->text) + "' and '" +
+                 std::string(gate.text) + "' in the same level",
              "gates within a level must act on pairwise-disjoint wires; "
              "move one gate to another level");
     }
@@ -146,7 +141,7 @@ void check_level(LintReport& report, long long width,
             state.wire_gen[static_cast<std::size_t>(key.second)]) {
       emit(report, LintSeverity::Warning, "redundant-comparator", level.line,
            unit,
-           "gate '" + gate->text + "' repeats the pair {" +
+           "gate '" + std::string(gate->text) + "' repeats the pair {" +
                std::to_string(key.first) + "," + std::to_string(key.second) +
                "} from line " + std::to_string(it->second.line) +
                " with no intervening gate on either wire",
@@ -174,16 +169,7 @@ std::optional<ComparatorNetwork> build_circuit(
     long long width, const std::vector<SourceLevel>& levels) {
   try {
     ComparatorNetwork net(static_cast<wire_t>(width));
-    for (const SourceLevel& source_level : levels) {
-      Level level;
-      for (const SourceGate& gate : source_level.gates) {
-        if (!gate.parsed) return std::nullopt;
-        level.gates.emplace_back(static_cast<wire_t>(gate.a),
-                                 static_cast<wire_t>(gate.b),
-                                 gate_op_of(gate.op));
-      }
-      net.add_level(std::move(level));
-    }
+    for (const SourceLevel& level : levels) append_level(net, level);
     return net;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -281,7 +267,7 @@ void check_circuit(LintReport& report, const NetworkSource& src) {
     for (const OpFinding& finding : sem.trivial_ops) {
       const SourceLevel& level = src.levels[finding.level];
       const SourceGate* gate = find_comparator(level, finding.op_in_level);
-      const std::string text = gate ? "'" + gate->text + "'"
+      const std::string text = gate ? "'" + std::string(gate->text) + "'"
                                     : "#" + std::to_string(
                                           finding.op_in_level + 1);
       if (finding.fate == OpFate::Redundant) {
@@ -328,7 +314,8 @@ void check_register(LintReport& report, const NetworkSource& src) {
   for (std::size_t i = 0; i < src.steps.size(); ++i) {
     const SourceStep& step = src.steps[i];
     const std::size_t unit = i + 1;
-    if (!step.well_formed) continue;  // syntax-step already reported
+    if (!step.kind_ok || !step.bad_entry.empty() || !step.tail_ok)
+      continue;  // syntax-step already reported
     if (step.shuffle && !pow2) {
       emit(report, LintSeverity::Error, "width-not-pow2", step.line, unit,
            "'step shuffle' requires a power-of-two width, got " +
@@ -394,7 +381,7 @@ void check_iterated(LintReport& report, const NetworkSource& src) {
     }
 
     bool tree_ok = false;
-    if (!stage.has_tree) {
+    if (stage.tree_line == 0) {
       emit(report, LintSeverity::Error, "tree-invalid", stage.line, unit,
            "stage has no 'tree' line",
            "declare the chunk's recursive wire order, e.g. "
@@ -428,11 +415,8 @@ void check_iterated(LintReport& report, const NetworkSource& src) {
         report.count(LintSeverity::Error) == errors_before) {
       if (const auto net = build_circuit(src.width, stage.levels)) {
         try {
-          std::vector<wire_t> order;
-          order.reserve(stage.tree.size());
-          for (const long long w : stage.tree)
-            order.push_back(static_cast<wire_t>(w));
-          const RdnTree tree = RdnTree::from_order(std::move(order));
+          const RdnTree tree = RdnTree::from_order(
+              wire_image(stage.tree, static_cast<wire_t>(src.width)));
           if (const auto problem = tree.validate(*net))
             emit(report, LintSeverity::Error, "rdn-nonconforming", stage.line,
                  unit,
@@ -465,20 +449,19 @@ std::size_t total_depth(const NetworkSource& src) {
 
 }  // namespace
 
-LintReport lint_network_source(NetworkSource source) {
+LintReport lint_network_text(const std::string& text) {
+  NetworkSource source = scan_network_text(text);
   LintReport report;
   report.model = source_model_name(source.model);
-  report.width =
-      source.width > 0 ? static_cast<std::uint64_t>(source.width) : 0;
-  report.diagnostics = std::move(source.diagnostics);
-  if (source.model == SourceModel::Unknown) return report;
-
-  if (source.width <= 0) {
-    emit(report, LintSeverity::Error, "width-invalid", source.header_line, 0,
-         "declared width " + std::to_string(source.width) +
-             " is not a positive wire count");
+  report.width = static_cast<std::uint64_t>(source.width);
+  for (SourceIssue& issue : source.issues)
+    report.diagnostics.push_back(
+        {issue.warning ? LintSeverity::Warning : LintSeverity::Error,
+         issue.rule, issue.line, 0, std::move(issue.message),
+         std::move(issue.hint)});
+  // The scanner reported a bad width; nothing below may allocate by it.
+  if (source.model == SourceModel::Unknown || !source.width_valid)
     return report;
-  }
 
   switch (source.model) {
     case SourceModel::Circuit:
@@ -520,10 +503,6 @@ LintReport lint_network_source(NetworkSource source) {
                      return a.line < b.line;
                    });
   return report;
-}
-
-LintReport lint_network_text(const std::string& text) {
-  return lint_network_source(parse_network_source(text));
 }
 
 }  // namespace shufflebound

@@ -23,16 +23,12 @@
 #include <string>
 
 #include "lint/diagnostic.hpp"
-#include "lint/source.hpp"
 
 namespace shufflebound {
 
-/// Lints network source text. Never throws: malformed input yields
-/// diagnostics, not exceptions.
+/// Lints network source text: the rule pass over the shared scan
+/// (core/source.hpp), whose syntax findings lead the report. Never
+/// throws: malformed input yields diagnostics, not exceptions.
 LintReport lint_network_text(const std::string& text);
-
-/// The rule pass alone, over an already-scanned source (the scanner's own
-/// syntax diagnostics are folded into the returned report).
-LintReport lint_network_source(NetworkSource source);
 
 }  // namespace shufflebound

@@ -9,22 +9,16 @@ namespace shufflebound {
 
 namespace {
 
-char gate_text_op(GateOp op) {
-  switch (op) {
-    case GateOp::CompareAsc:
-      return '+';
-    case GateOp::CompareDesc:
-      return '-';
-    case GateOp::Exchange:
-      return 'x';
-    case GateOp::Passthrough:
-      return '0';
-  }
-  return '?';
-}
-
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("iterated network text: " + what);
+}
+
+[[noreturn]] void fail_at(std::size_t line_no, const char* what,
+                          std::string_view entry) {
+  throw std::invalid_argument("iterated network text line " +
+                              std::to_string(line_no) + ": " + what +
+                              " entry '" + std::string(entry) +
+                              "' is not an integer");
 }
 
 }  // namespace
@@ -42,92 +36,66 @@ std::string to_text(const IteratedRdn& net) {
     out << "\ntree";
     for (const wire_t w : stage.chunk.tree.leaf_order()) out << ' ' << w;
     out << "\n";
-    for (const Level& level : stage.chunk.net.levels()) {
-      out << "level";
-      for (const Gate& g : level.gates)
-        out << ' ' << g.lo << gate_text_op(g.op) << g.hi;
-      out << "\n";
-    }
+    for (const Level& level : stage.chunk.net.levels())
+      out << to_text(level) << "\n";
     out << "endstage\n";
   }
   out << "end\n";
   return out.str();
 }
 
-IteratedRdn iterated_from_text(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  const auto next_line = [&]() -> std::optional<std::string> {
-    while (std::getline(in, line)) {
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      const auto first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos) continue;
-      const auto last = line.find_last_not_of(" \t\r");
-      return line.substr(first, last - first + 1);
-    }
-    return std::nullopt;
-  };
-
-  auto header = next_line();
-  if (!header) fail("empty input");
-  std::istringstream head(*header);
-  std::string keyword;
-  wire_t width = 0;
-  head >> keyword >> width;
-  if (keyword != "iterated" || head.fail() || width == 0)
-    fail("expected 'iterated <width>'");
-  check_text_width("iterated", width);
-  IteratedRdn net(width);
-
-  for (auto row = next_line(); row; row = next_line()) {
-    if (*row == "end") return net;
-    // --- stage perm ... ---
-    std::istringstream stage_in(*row);
-    std::string word, perm_word;
-    stage_in >> word >> perm_word;
-    if (word != "stage" || perm_word != "perm") fail("expected 'stage perm'");
+IteratedRdn iterated_from_source(const NetworkSource& src) {
+  if (src.header_line == 0) fail("empty input");
+  const auto width = declared_width(src, SourceModel::Iterated);
+  if (!width) fail("expected 'iterated <width>'");
+  IteratedRdn net(*width);
+  for (const SourceStage& stage : src.stages) {
+    if (src.stray_line != 0 && src.stray_line < stage.line) break;
+    if (!stage.perm_ok) fail("expected 'stage perm'");
     Permutation pre;
-    std::string maybe_identity;
-    if (stage_in >> maybe_identity) {
-      if (maybe_identity == "identity") {
-        pre = Permutation::identity(width);
-      } else {
-        std::vector<wire_t> image(width);
-        image[0] = static_cast<wire_t>(std::stoul(maybe_identity));
-        for (wire_t j = 1; j < width; ++j) {
-          if (!(stage_in >> image[j])) fail("short permutation");
-        }
-        pre = Permutation(std::move(image));
-      }
+    if (stage.identity) {
+      pre = Permutation::identity(*width);
     } else {
-      fail("missing permutation");
+      if (!stage.bad_entry.empty())
+        fail_at(stage.line, "permutation", stage.bad_entry);
+      if (stage.perm.empty()) fail("missing permutation");
+      if (stage.perm.size() < *width) fail("short permutation");
+      pre = Permutation(wire_image(stage.perm, *width));
+      if (stage.perm.size() > *width)
+        fail("permutation has " + std::to_string(stage.perm.size()) +
+             " entries, expected " + std::to_string(*width));
     }
-    // --- tree ... ---
-    auto tree_row = next_line();
-    if (!tree_row || tree_row->rfind("tree", 0) != 0) fail("expected 'tree'");
-    std::istringstream tree_in(tree_row->substr(4));
-    std::vector<wire_t> order;
-    wire_t w;
-    while (tree_in >> w) order.push_back(w);
-    if (order.size() != width) fail("tree leaf order has wrong size");
-    RdnTree tree = RdnTree::from_order(std::move(order));
-    // --- levels until endstage ---
-    ComparatorNetwork chunk(width);
-    for (auto body = next_line();; body = next_line()) {
-      if (!body) fail("missing 'endstage'");
-      if (*body == "endstage") break;
-      if (body->rfind("level", 0) != 0) fail("expected 'level' or 'endstage'");
-      // Reuse the circuit gate syntax by wrapping one line.
-      const std::string wrapped =
-          "circuit " + std::to_string(width) + "\n" + *body + "\nend\n";
-      const ComparatorNetwork one = circuit_from_text(wrapped);
-      chunk.add_level(one.level(0));
+    if (stage.tree_line == 0 || stage.tree_line != stage.first_line)
+      fail("expected 'tree'");
+    if (!stage.bad_tree_entry.empty())
+      fail_at(stage.tree_line, "tree", stage.bad_tree_entry);
+    if (stage.tree.size() != *width) fail("tree leaf order has wrong size");
+    RdnTree tree = RdnTree::from_order(wire_image(stage.tree, *width));
+    ComparatorNetwork chunk(*width);
+    for (const SourceLevel& level : stage.levels) {
+      if (stage.stray_line != 0 && stage.stray_line < level.line) break;
+      try {
+        append_level(chunk, level);
+      } catch (const std::invalid_argument& e) {
+        // Numbered as line 2 of the level's one-line circuit, as this
+        // parser has always reported level errors.
+        throw std::invalid_argument(std::string("network text line 2: ") +
+                                    e.what());
+      }
     }
+    if (stage.stray_line != 0 || (!stage.closed && src.terminated))
+      fail("expected 'level' or 'endstage'");
+    if (!stage.closed) fail("missing 'endstage'");
     net.add_stage(IteratedRdn::Stage{std::move(pre),
                                      RdnChunk{std::move(chunk), std::move(tree)}});
   }
-  fail("missing 'end'");
+  if (src.stray_line != 0) fail("expected 'stage perm'");
+  if (!src.terminated) fail("missing 'end'");
+  return net;
+}
+
+IteratedRdn iterated_from_text(const std::string& text) {
+  return iterated_from_source(scan_network_text(text));
 }
 
 }  // namespace shufflebound

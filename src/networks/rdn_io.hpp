@@ -10,6 +10,8 @@
 //   ...
 //   end
 //
+// Read by the scanner shared with every network format (core/source.hpp).
+//
 // Refuting a general iterated RDN (arbitrary trees, non-identity
 // inter-chunk permutations) from disk goes through this format; the
 // shuffle-based and recognizable-circuit cases keep their simpler files.
@@ -17,11 +19,13 @@
 
 #include <string>
 
+#include "core/source.hpp"
 #include "networks/rdn.hpp"
 
 namespace shufflebound {
 
 std::string to_text(const IteratedRdn& net);
 IteratedRdn iterated_from_text(const std::string& text);
+IteratedRdn iterated_from_source(const NetworkSource& src);
 
 }  // namespace shufflebound

@@ -265,11 +265,7 @@ JsonValue refute_payload(const ParsedNetwork& net, const JobSpec& spec,
     payload.set("output_pi_prime",
                 wires_to_json(run_input(net, cert.witness.pi_prime)));
     payload.set("survivors", wires_to_json(cert.survivors));
-    // Wide certificates ship in the chunked v2 stream (~2x smaller; CRC
-    // per chunk) so the disk cache tier and CI artifacts stay tractable
-    // at n = 2^10..2^16; narrow ones keep the human-readable v1 text.
-    payload.set("certificate",
-                cert.n >= 512 ? to_chunked_text(cert) : to_text(cert));
+    payload.set("certificate", certificate_text(cert));
   }
   return payload;
 }

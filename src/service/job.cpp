@@ -32,25 +32,23 @@ const char* ParsedNetwork::model_name() const noexcept {
 }
 
 ParsedNetwork parse_any_network(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    const std::string head = line.substr(first);
-    if (head.rfind("register", 0) == 0) {
-      RegisterNetwork reg = register_from_text(text);
+  const NetworkSource src = scan_network_text(text);
+  if (src.header_line == 0) throw std::invalid_argument("empty network text");
+  switch (src.model) {
+    case SourceModel::Register: {
+      RegisterNetwork reg = register_from_source(src);
       ComparatorNetwork circuit = register_to_circuit(reg).circuit;
       return ParsedNetwork{std::move(circuit), std::move(reg), std::nullopt};
     }
-    if (head.rfind("iterated", 0) == 0) {
-      IteratedRdn rdn = iterated_from_text(text);
+    case SourceModel::Iterated: {
+      IteratedRdn rdn = iterated_from_source(src);
       ComparatorNetwork circuit = rdn.flatten().circuit;
       return ParsedNetwork{std::move(circuit), std::nullopt, std::move(rdn)};
     }
-    return ParsedNetwork{circuit_from_text(text), std::nullopt, std::nullopt};
+    default:
+      return ParsedNetwork{circuit_from_source(src), std::nullopt,
+                           std::nullopt};
   }
-  throw std::invalid_argument("empty network text");
 }
 
 namespace {

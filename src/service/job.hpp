@@ -122,9 +122,10 @@ struct ParsedNetwork {
   }
 };
 
-/// Parses any of the three text formats (dispatching on the leading
-/// keyword: "circuit", "register", "iterated"). Throws
-/// std::invalid_argument / std::runtime_error on malformed text.
+/// Parses any of the three text formats: one scan (core/source.hpp),
+/// then the builder for the model its header declares ("circuit",
+/// "register", "iterated"). Throws std::invalid_argument on malformed
+/// text.
 ParsedNetwork parse_any_network(const std::string& text);
 
 struct JobResult {

@@ -18,6 +18,7 @@
 #include "adversary/refuter.hpp"
 #include "core/io.hpp"
 #include "env_iters.hpp"
+#include "lint/linter.hpp"
 #include "networks/rdn_io.hpp"
 #include "networks/batcher.hpp"
 #include "networks/shuffle.hpp"
@@ -104,20 +105,24 @@ TEST(Fuzz, SeedCorpusReplays) {
     replay_seed(text,
                 [](const std::string& t) { (void)certificate_from_text(t); });
     replay_seed(text, [](const std::string& t) { (void)pattern_from_text(t); });
+    replay_seed(text, [](const std::string& t) {
+      EXPECT_NO_THROW((void)lint_network_text(t));
+    });
   }
+}
+
+std::string read_seed(const char* name) {
+  std::ifstream in(std::filesystem::path(SB_TEST_DATA_DIR) / "fuzz_seeds" /
+                   name);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 // The over-limit width seeds: each parser rejects its own format's
 // hostile header with one invalid_argument naming the limit, before any
 // width-sized allocation. A header at the limit still parses.
 TEST(Fuzz, OverLimitWidthsAreRejected) {
-  const auto read_seed = [](const char* name) {
-    std::ifstream in(std::filesystem::path(SB_TEST_DATA_DIR) / "fuzz_seeds" /
-                     name);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
   const auto expect_limit_error = [](auto parse, const std::string& text) {
     try {
       parse(text);
@@ -140,6 +145,44 @@ TEST(Fuzz, OverLimitWidthsAreRejected) {
   expect_limit_error([](const std::string& t) { (void)circuit_from_text(t); },
                      "circuit " + std::to_string(kMaxTextWidth + 1) +
                          "\nend\n");
+}
+
+// The linter reads the same over-limit seeds through the same scanner:
+// one width-invalid error naming the limit, and no width-sized
+// allocation (CI runs the suite under a virtual-memory cap).
+TEST(Fuzz, LintReportsOverLimitWidths) {
+  for (const char* name : {"circuit_huge_width.txt", "register_huge_width.txt",
+                           "iterated_huge_width.txt"}) {
+    SCOPED_TRACE(name);
+    const LintReport report = lint_network_text(read_seed(name));
+    const auto it = std::find_if(
+        report.diagnostics.begin(), report.diagnostics.end(),
+        [](const Diagnostic& d) { return d.rule == "width-invalid"; });
+    ASSERT_NE(it, report.diagnostics.end());
+    EXPECT_EQ(it->severity, LintSeverity::Error);
+    EXPECT_NE(it->message.find("kMaxTextWidth"), std::string::npos)
+        << it->message;
+  }
+}
+
+// Iterated permutation entries that are no number, or overflow, fail with
+// one invalid_argument naming the line and the token: never
+// std::out_of_range, never a bare "stoul".
+TEST(Fuzz, IteratedPermutationEntriesNameLineAndToken) {
+  const std::pair<const char*, std::string> seeds[] = {
+      {"iterated_perm_entry_out_of_range.txt", "99999999999999999999"},
+      {"iterated_perm_entry_not_a_number.txt", "three"}};
+  for (const auto& [name, token] : seeds) {
+    SCOPED_TRACE(name);
+    try {
+      (void)iterated_from_text(read_seed(name));
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "iterated network text line 2: permutation entry '" + token +
+                    "' is not an integer");
+    }
+  }
 }
 
 // A CRC-valid v2 certificate claiming n = 4e9 with an 8-byte body: the

@@ -27,6 +27,15 @@ TEST(RegisterNetwork, StepValidation) {
                std::invalid_argument);
 }
 
+// A width with no shuffle is simply not shuffle-based: the question must
+// not throw (the engine's info payload asks it under noexcept).
+TEST(RegisterNetwork, NonPowerOfTwoWidthIsNotShuffleBased) {
+  RegisterNetwork net(6);
+  net.add_step({Permutation::identity(6),
+                {GateOp::CompareAsc, GateOp::CompareAsc, GateOp::CompareAsc}});
+  EXPECT_FALSE(net.is_shuffle_based());
+}
+
 TEST(RegisterNetwork, PlusOpSemantics) {
   // "+" stores the smaller value in register 2k, the larger in 2k+1.
   RegisterNetwork net(2);

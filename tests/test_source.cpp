@@ -1,0 +1,183 @@
+// The shared network-text scanner (core/source.hpp): one language for the
+// strict parsers, parse_any_network and the linter.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/io.hpp"
+#include "core/source.hpp"
+#include "lint/linter.hpp"
+#include "networks/batcher.hpp"
+#include "networks/rdn.hpp"
+#include "networks/rdn_io.hpp"
+#include "networks/shuffle.hpp"
+#include "service/job.hpp"
+#include "util/prng.hpp"
+
+namespace shufflebound {
+namespace {
+
+bool strict_accepts(const std::string& text) {
+  try {
+    (void)parse_any_network(text);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+bool has_syntax_finding(const LintReport& report) {
+  for (const Diagnostic& d : report.diagnostics)
+    if (d.rule.starts_with("syntax-") || d.rule == "missing-end" ||
+        d.rule == "width-invalid")
+      return true;
+  return false;
+}
+
+std::vector<std::string> corpus_dir(const std::filesystem::path& dir) {
+  std::vector<std::string> texts;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".txt") continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    texts.push_back(buf.str());
+  }
+  return texts;
+}
+
+/// One edit of `text`: a byte deletion or insertion, a swap of two
+/// neighbouring tokens, or a rewritten number.
+std::string mutate(std::string text, Prng& rng) {
+  static const char kNoise[] = "0123456789 +-x\n#;aelnpst";
+  const std::size_t pos = rng.below(text.size());
+  switch (rng.below(4)) {
+    case 0:
+      text.erase(pos, 1);
+      break;
+    case 1:
+      text.insert(pos, 1, kNoise[rng.below(sizeof(kNoise) - 1)]);
+      break;
+    case 2: {
+      const auto a = text.find_first_not_of(" \n", text.find(' ', pos));
+      const auto a_end = text.find_first_of(" \n", a);
+      if (a_end == std::string::npos || text[a_end] != ' ') break;
+      const auto b = a_end + 1;
+      const auto b_end = std::min(text.find_first_of(" \n", b), text.size());
+      const std::string first = text.substr(a, a_end - a);
+      const std::string second = text.substr(b, b_end - b);
+      text.replace(a, b_end - a, second + " " + first);
+      break;
+    }
+    default: {
+      const auto start = std::min(text.find_first_of("0123456789", pos),
+                                  text.size());
+      const auto end =
+          std::min(text.find_first_not_of("0123456789", start), text.size());
+      static const char* const kNumbers[] = {"0", "1", "7", "16", "99",
+                                             "4294967296"};
+      text.replace(start, end - start, kNumbers[rng.below(6)]);
+      break;
+    }
+  }
+  return text;
+}
+
+// The strict parse rejects every text the linter finds a syntax,
+// missing-end or width-invalid problem in, and accepts every text the
+// linter finds no error in: over the fixtures, the fuzz seeds and a
+// mutation set in all three formats, the two front ends speak one
+// language.
+TEST(Source, StrictParseAgreesWithLintSyntax) {
+  const std::filesystem::path data(SB_TEST_DATA_DIR);
+  std::vector<std::string> texts = corpus_dir(data);
+  for (const std::string& seed : corpus_dir(data / "fuzz_seeds"))
+    texts.push_back(seed);
+  Prng rng(16);
+  const std::vector<std::string> generated = {
+      to_text(bitonic_sorting_network(8)),
+      to_text(random_shuffle_network(8, 5, rng, {10, 5})),
+      to_text(shuffle_to_iterated_rdn(
+          random_shuffle_network(8, 6, rng, {10, 5}))),
+      to_text(make_iterated_rdn(
+          4, 2, [&](std::size_t) { return random_rdn(2, rng, 0, 5); },
+          [&](std::size_t) { return random_permutation(4, rng); })),
+  };
+  for (const std::string& text : generated) {
+    texts.push_back(text);
+    for (int k = 0; k < 150; ++k) texts.push_back(mutate(text, rng));
+  }
+
+  std::size_t rejected_for_syntax = 0, accepted_clean = 0;
+  for (const std::string& text : texts) {
+    SCOPED_TRACE(text);
+    const LintReport report = lint_network_text(text);
+    const bool accepted = strict_accepts(text);
+    if (has_syntax_finding(report)) {
+      EXPECT_FALSE(accepted);
+      ++rejected_for_syntax;
+    } else if (!report.has_errors()) {
+      EXPECT_TRUE(accepted);
+      ++accepted_clean;
+    }
+  }
+  EXPECT_GT(rejected_for_syntax, 100u);
+  EXPECT_GT(accepted_clean, 10u);
+}
+
+TEST(Source, TokensPointIntoTheText) {
+  const std::string text = "circuit 4\nlevel 0+1 2-3\nend\n";
+  const NetworkSource src = scan_network_text(text);
+  ASSERT_EQ(src.levels.size(), 1u);
+  const std::string_view gate = src.levels[0].gates[1].text;
+  EXPECT_EQ(gate, "2-3");
+  EXPECT_EQ(gate.data(), text.data() + text.find("2-3"));
+  EXPECT_EQ(src.levels[0].line, 2u);
+  EXPECT_TRUE(src.terminated);
+}
+
+TEST(Source, NumbersAreUnsignedDecimalDigits) {
+  for (const char* gate : {"0++1", "0+-1", "+0+1", "0+1a", "0a+1"}) {
+    const std::string text =
+        std::string("circuit 4\nlevel ") + gate + "\nend\n";
+    const NetworkSource src = scan_network_text(text);
+    ASSERT_EQ(src.levels.size(), 1u) << gate;
+    EXPECT_FALSE(src.levels[0].gates[0].parsed) << gate;
+    EXPECT_THROW(circuit_from_text(text), std::invalid_argument) << gate;
+  }
+  for (const char* header : {"circuit +4\nend\n", "circuit 4x\nend\n"}) {
+    const NetworkSource src = scan_network_text(header);
+    EXPECT_FALSE(src.width_valid) << header;
+    EXPECT_STREQ(src.issues.front().rule, "syntax-header") << header;
+  }
+}
+
+TEST(Source, WidthCapIsCheckedOnceAtTheHeader) {
+  const NetworkSource src = scan_network_text("circuit 1000000000\nend\n");
+  EXPECT_EQ(src.width, 1000000000);
+  EXPECT_FALSE(src.width_valid);
+  ASSERT_FALSE(src.issues.empty());
+  EXPECT_STREQ(src.issues.back().rule, "width-invalid");
+  EXPECT_TRUE(scan_network_text("circuit 1048576\nend\n").width_valid);
+  EXPECT_FALSE(scan_network_text("circuit 0\nend\n").width_valid);
+}
+
+TEST(Source, TreeMustDirectlyFollowItsStage) {
+  const std::string late_tree =
+      "iterated 2\nstage perm identity\nlevel 0+1\ntree 0 1\nendstage\nend\n";
+  EXPECT_THROW(iterated_from_text(late_tree), std::invalid_argument);
+  EXPECT_TRUE(has_syntax_finding(lint_network_text(late_tree)));
+  const std::string second_tree =
+      "iterated 2\nstage perm identity\ntree 0 1\ntree 1 0\nlevel 0+1\n"
+      "endstage\nend\n";
+  EXPECT_THROW(iterated_from_text(second_tree), std::invalid_argument);
+  EXPECT_TRUE(has_syntax_finding(lint_network_text(second_tree)));
+}
+
+}  // namespace
+}  // namespace shufflebound

@@ -252,8 +252,13 @@ int cmd_certify(int argc, char** argv) {
       loaded.register_form ? zero_one_check(*loaded.register_form, opts)
                            : zero_one_check(loaded.circuit, opts);
   if (report.sorts_all) {
-    std::printf("SORTING NETWORK (all %llu 0/1 vectors sorted)\n",
-                static_cast<unsigned long long>(report.vectors_checked));
+    // The vector counter saturates at 2^64 - 1; name the count instead.
+    const wire_t n = loaded.circuit.width();
+    if (n >= 64)
+      std::printf("SORTING NETWORK (all 2^%u 0/1 vectors sorted)\n", n);
+    else
+      std::printf("SORTING NETWORK (all %llu 0/1 vectors sorted)\n",
+                  static_cast<unsigned long long>(report.vectors_checked));
     return 0;
   }
   // ... falling back to the paper's general definition: a fixed output
@@ -412,13 +417,9 @@ int cmd_refute(int argc, char** argv) {
                              : refute(loaded.circuit, options);
   switch (result.status) {
     case RefutationStatus::Refuted:
-      // The v2 chunked stream on request or for wide certificates (where
-      // the flat text gets unwieldy); verify accepts both.
-      if (chunked || result.certificate->n >= 512) {
-        std::fputs(to_chunked_text(*result.certificate).c_str(), stdout);
-      } else {
-        std::fputs(to_text(*result.certificate).c_str(), stdout);
-      }
+      // --chunked forces the v2 stream; verify accepts both.
+      std::fputs(certificate_text(*result.certificate, chunked).c_str(),
+                 stdout);
       std::fprintf(stderr, "# %s\n", result.detail.c_str());
       return 0;
     case RefutationStatus::TooFewSurvivors:
