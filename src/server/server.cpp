@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -209,7 +210,24 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   SB_OBS_SPAN("server", "connection");
   std::string buffer;
   std::size_t scanned = 0;  // buffer[0, scanned) holds no '\n'
+  bool discarding = false;  // dropping an over-long line through its '\n'
   std::uint64_t line_number = 0;
+  const auto ticket = [&line_number] {
+    return static_cast<std::uint32_t>(line_number - 1);
+  };
+  // An over-long line is answered once, under its own ticket, and never
+  // parsed; the connection keeps serving the lines after it.
+  const auto reject_too_large = [&] {
+    ++line_number;
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    SB_OBS_COUNT("server.requests", 1);
+    deliver(conn, ticket(),
+            error_line("line-" + std::to_string(line_number), "invalid",
+                       "too_large",
+                       "request line exceeds " +
+                           std::to_string(kMaxLineBytes) + " bytes"),
+            /*engine_result=*/false);
+  };
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -217,28 +235,46 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       if (n < 0 && (errno == EINTR)) continue;
       break;  // EOF, SHUT_RD during drain, or a dead peer
     }
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    std::string_view data(chunk, static_cast<std::size_t>(n));
+    if (discarding) {
+      const std::size_t nl = data.find('\n');
+      if (nl == std::string_view::npos) continue;
+      data.remove_prefix(nl + 1);
+      discarding = false;
+    }
+    buffer.append(data);
     // Each received byte is searched once, so a long line arriving in
     // many small reads costs linear time, not quadratic.
     std::size_t start = 0;
     for (std::size_t nl = buffer.find('\n', scanned); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
+      if (nl - start > kMaxLineBytes) {
+        start = nl + 1;
+        reject_too_large();
+        continue;
+      }
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       start = nl + 1;
       if (line.empty()) continue;
       ++line_number;
-      handle_line(conn, line, line_number,
-                  static_cast<std::uint32_t>(line_number - 1));
+      handle_line(conn, line, line_number, ticket());
     }
     buffer.erase(0, start);
     scanned = buffer.size();
+    if (buffer.size() > kMaxLineBytes) {
+      // Over the cap before its newline arrived: answer it now and drop
+      // the rest of it as it comes, so the buffer stays bounded.
+      reject_too_large();
+      buffer.clear();
+      scanned = 0;
+      discarding = true;
+    }
   }
   if (!buffer.empty()) {
     // Final unterminated line counts, as in batch mode.
     ++line_number;
-    handle_line(conn, buffer, line_number,
-                static_cast<std::uint32_t>(line_number - 1));
+    handle_line(conn, buffer, line_number, ticket());
   }
   std::scoped_lock lock(conn->mutex);
   conn->reader_done = true;
@@ -286,12 +322,15 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
   // queue so one chatty client cannot own the whole engine. The rejection
   // is delivered outside the lock - deliver() takes conn->mutex itself.
   bool over_cap = false;
+  bool idle = false;
   {
     std::scoped_lock lock(conn->mutex);
-    if (conn->inflight >= config_.max_inflight_per_conn)
+    if (conn->inflight >= config_.max_inflight_per_conn) {
       over_cap = true;
-    else
+    } else {
+      idle = conn->inflight == 0;
       ++conn->inflight;
+    }
   }
   if (over_cap) {
     overloaded_.fetch_add(1, std::memory_order_relaxed);
@@ -303,13 +342,22 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  JobSpec spec = job_from_json(parsed, line_number);
-  spec.client_tag = pack_tag(conn->id, ticket);
+  ProbedJob job{job_from_json(parsed, line_number)};
+  job.spec.client_tag = pack_tag(conn->id, ticket);
+  // With nothing in flight on this connection the probe step runs here:
+  // a cache hit, invalid spec or unparseable network is written at once,
+  // with no seq, queue slot or wait behind other connections' jobs.
+  // Behind an in-flight job the request queues unprobed, so the reorder
+  // buffer never holds more responses than the in-flight cap.
+  if (idle && engine_->probe(job)) {
+    deliver(conn, ticket, job.result->to_json_line(), /*engine_result=*/true);
+    return;
+  }
   AnalysisEngine::Admission admission;
   {
     std::scoped_lock lock(submit_mutex_);
     admission = engine_->try_submit_for(
-        std::move(spec), std::chrono::milliseconds(config_.admission_wait_ms));
+        std::move(job), std::chrono::milliseconds(config_.admission_wait_ms));
   }
   if (admission == AnalysisEngine::Admission::Accepted) return;
 

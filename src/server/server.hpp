@@ -13,11 +13,30 @@
 // Shape:
 //
 //   accept loop (poll: listener + wake pipe)
-//     -> reader thread per connection -- parse (one JSON parse per
-//        line), admission-check, submit
-//          -> AnalysisEngine (shared; submits serialized by one mutex)
-//          -> shared result sink -- route by JobSpec::client_tag
+//     -> reader thread per connection -- line cap, parse (one JSON parse
+//        per line), admission-check
+//          -> idle connection: the engine's probe step, on the reader
+//             -- hit / invalid / unparseable: answered here
+//          -> submit (a probed miss carries its parse and key)
+//               -> AnalysisEngine (shared; submits serialized by one mutex)
+//               -> shared result sink -- route by JobSpec::client_tag
 //     -> per-connection ticket reorder buffer -> socket write
+//
+// Hit path. When a connection has nothing in flight, its reader thread
+// runs AnalysisEngine::probe itself: spec check, network parse, cache
+// key, lookup and (for refute) the witness replay - the same step a
+// worker runs. A cache hit, invalid spec or unparseable network is
+// delivered at once under its ticket: it consumes no engine seq, no
+// queue slot and no worker wake-up, and never waits behind another
+// connection's slow job in the engine's in-order emission. A miss is
+// submitted with its parsed network and key, so nothing is parsed or
+// probed twice. Behind an in-flight job a request queues unprobed, so
+// the reorder buffer never holds more than max_inflight_per_conn
+// responses.
+//
+// Line cap. A request line longer than kMaxLineBytes is answered with one
+// `too_large` error under its ticket and discarded through its newline,
+// without being parsed; the connection keeps serving.
 //
 // Ordering. The reader assigns each request line a per-connection ticket
 // (0,1,2,...) and packs (connection id, ticket) into the job's
@@ -90,6 +109,11 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Longest request line accepted, in bytes before its newline. A longer
+  /// line gets one `too_large` error response and is discarded through
+  /// its newline; the connection keeps serving.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
+
   explicit Server(ServerConfig config);
   ~Server();
 
@@ -119,6 +143,8 @@ class Server {
   const DiskBackedCache* disk_cache() const noexcept { return disk_cache_.get(); }
 
   const AnalysisEngine& engine() const noexcept { return *engine_; }
+  /// Mutable access lets tests seed or poison the memory cache tier.
+  AnalysisEngine& engine() noexcept { return *engine_; }
 
  private:
   struct Connection {

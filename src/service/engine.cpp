@@ -351,79 +351,88 @@ JsonValue search_payload(const JobSpec& spec, Clock::time_point deadline) {
 }
 
 /// What the engine adds to a job's run: the cache to probe and fill and
-/// the telemetry that counts hits, misses and witness revalidations.
+/// the telemetry that counts witness revalidations.
 struct CacheTier {
   ResultCache& cache;
   Telemetry& telemetry;
-  /// Lookup + revalidation time; empty when the job never reached the
-  /// probe (invalid spec, unparseable network).
-  std::optional<Clock::duration> probe_time;
 };
 
-/// The one path every job takes: spec check, network parse (for the
-/// kinds that have one), cache key, probe with refute revalidation,
-/// payload, insert. `tier` is null for the isolated AnalysisEngine::execute
-/// and for engines with the cache disabled. Never throws.
-JobResult run_job(const JobSpec& spec, Clock::time_point deadline,
-                  CompilationArena& arena, CacheTier* tier) {
-  JobResult result;
-  result.seq = spec.seq;
-  result.id = spec.id;
-  result.kind = spec.kind;
-  result.client_tag = spec.client_tag;
+/// Starts the job's result with the fields every result echoes.
+JobResult& begin_result(ProbedJob& job) {
+  JobResult& result = job.result.emplace();
+  result.seq = job.spec.seq;
+  result.id = job.spec.id;
+  result.kind = job.spec.kind;
+  result.client_tag = job.spec.client_tag;
+  return result;
+}
+
+/// The probe step: spec check, network parse (for the kinds that have
+/// one), cache key, lookup with refute revalidation. Answers the job in
+/// `job.result` when it can; otherwise leaves the parsed network and key
+/// for execute_step. `tier` is null for the isolated
+/// AnalysisEngine::execute and for engines with the cache disabled.
+/// Never throws.
+void probe_step(ProbedJob& job, CompilationArena& arena, CacheTier* tier) {
+  const JobSpec& spec = job.spec;
+  job.probed = true;
   if (spec.kind == JobKind::Invalid) {
-    result.error = spec.parse_error.empty() ? "invalid job" : spec.parse_error;
-    return result;
+    begin_result(job).error =
+        spec.parse_error.empty() ? "invalid job" : spec.parse_error;
+    return;
   }
   // Lint runs on raw text (malformed networks are its whole subject) and
   // search on bare parameters; every other kind needs the parsed network.
-  std::optional<ParsedNetwork> net;
   if (spec.kind != JobKind::Lint && spec.kind != JobKind::Search) {
     try {
-      net = parse_any_network(spec.network_text);
+      job.net = parse_any_network(spec.network_text);
     } catch (const std::exception& e) {
-      result.error = std::string("network: ") + e.what();
-      return result;
+      begin_result(job).error = std::string("network: ") + e.what();
+      return;
     }
   }
+  if (tier == nullptr) return;
 
-  std::optional<CacheKey> key;
-  if (tier != nullptr) {
-    key = spec.kind == JobKind::Lint     ? AnalysisEngine::lint_cache_key(spec)
-          : spec.kind == JobKind::Search ? AnalysisEngine::search_cache_key(spec)
-                                         : AnalysisEngine::cache_key(spec, *net);
-    const auto probe_start = Clock::now();
-    std::optional<JsonValue> hit;
-    {
-      SB_OBS_SPAN("service", "cache_probe");
-      hit = tier->cache.lookup(*key);
-      // Cached refutations are not trusted: the witness is replayed
-      // through the freshly parsed network before it is served.
-      if (hit && spec.kind == JobKind::Refute) {
-        const bool valid = revalidate_refutation(*net, *hit, arena);
-        tier->telemetry.count_witness_revalidation(valid);
-        SB_OBS_COUNT("service.witness_revalidations", 1);
-        if (!valid) {
-          SB_OBS_COUNT("service.witness_revalidation_failures", 1);
-          tier->cache.invalidate(*key);
-          hit.reset();
-        }
+  const CacheKey& key =
+      job.key.emplace(spec.kind == JobKind::Lint ? AnalysisEngine::lint_cache_key(spec)
+                      : spec.kind == JobKind::Search
+                          ? AnalysisEngine::search_cache_key(spec)
+                          : AnalysisEngine::cache_key(spec, *job.net));
+  const auto probe_start = Clock::now();
+  std::optional<JsonValue> hit;
+  {
+    SB_OBS_SPAN("service", "cache_probe");
+    hit = tier->cache.lookup(key);
+    // Cached refutations are not trusted: the witness is replayed
+    // through the freshly parsed network before it is served.
+    if (hit && spec.kind == JobKind::Refute) {
+      const bool valid = revalidate_refutation(*job.net, *hit, arena);
+      tier->telemetry.count_witness_revalidation(valid);
+      SB_OBS_COUNT("service.witness_revalidations", 1);
+      if (!valid) {
+        SB_OBS_COUNT("service.witness_revalidation_failures", 1);
+        tier->cache.invalidate(key);
+        hit.reset();
       }
     }
-    tier->probe_time = Clock::now() - probe_start;
-    JobKindTelemetry& tk =
-        tier->telemetry.kind(static_cast<std::size_t>(spec.kind));
-    if (hit) {
-      tk.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      SB_OBS_COUNT("service.cache_hits", 1);
-      result.ok = true;
-      result.payload = std::move(*hit);
-      return result;
-    }
-    tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("service.cache_misses", 1);
   }
+  job.probe_time = Clock::now() - probe_start;
+  if (hit) {
+    job.hit = true;
+    JobResult& result = begin_result(job);
+    result.ok = true;
+    result.payload = std::move(*hit);
+  }
+}
 
+/// The execute step of a job probe_step left unanswered: payload from
+/// the parsed network, then the insert under the probed key. Never
+/// throws.
+void execute_step(ProbedJob& job, Clock::time_point deadline,
+                  CompilationArena& arena, ResultCache* cache) {
+  const JobSpec& spec = job.spec;
+  const std::optional<ParsedNetwork>& net = job.net;
+  JobResult& result = begin_result(job);
   try {
     SB_OBS_SPAN("service", "execute");
     switch (spec.kind) {
@@ -467,7 +476,7 @@ JobResult run_job(const JobSpec& spec, Clock::time_point deadline,
         result.payload = search_payload(spec, deadline);
         break;
       case JobKind::Invalid:
-        break;  // answered above
+        break;  // answered by the probe step
     }
     result.ok = result.error.empty();
   } catch (const JobTimeout&) {
@@ -478,8 +487,8 @@ JobResult run_job(const JobSpec& spec, Clock::time_point deadline,
     result.error = e.what();
     result.payload = JsonValue();
   }
-  if (result.ok && key) tier->cache.insert(*key, result.payload);
-  return result;
+  if (result.ok && job.key && cache != nullptr)
+    cache->insert(*job.key, result.payload);
 }
 
 }  // namespace
@@ -532,7 +541,11 @@ JobResult AnalysisEngine::execute(const JobSpec& spec,
   // The isolated entry point shares the process-wide arena: results are
   // pure functions of the spec either way, the arena only dedups the
   // compile work.
-  return run_job(spec, deadline, CompilationArena::global(), nullptr);
+  ProbedJob job{spec};
+  probe_step(job, CompilationArena::global(), nullptr);
+  if (!job.result)
+    execute_step(job, deadline, CompilationArena::global(), nullptr);
+  return std::move(*job.result);
 }
 
 AnalysisEngine::AnalysisEngine(EngineConfig config, ResultSink sink)
@@ -556,20 +569,20 @@ bool AnalysisEngine::submit(JobSpec spec) {
   if (obs::enabled()) spec.submit_us = obs::now_us();
   telemetry_.kind(static_cast<std::size_t>(spec.kind))
       .submitted.fetch_add(1, std::memory_order_relaxed);
-  return queue_.push(std::move(spec));
+  return queue_.push(ProbedJob{std::move(spec)});
 }
 
 AnalysisEngine::Admission AnalysisEngine::try_submit_for(
-    JobSpec spec, std::chrono::milliseconds wait) {
+    ProbedJob job, std::chrono::milliseconds wait) {
   if (finished_) return Admission::Closed;
   // The seq is only consumed on success: a rejected job must not leave a
   // hole in the sequence, or the in-order emit buffer would stall forever
   // waiting for a result that never comes. Safe because submission is
   // single-producer by contract.
-  spec.seq = next_seq_;
-  if (obs::enabled()) spec.submit_us = obs::now_us();
-  const std::size_t kind_index = static_cast<std::size_t>(spec.kind);
-  switch (queue_.try_push_until(std::move(spec),
+  job.spec.seq = next_seq_;
+  if (obs::enabled()) job.spec.submit_us = obs::now_us();
+  const std::size_t kind_index = static_cast<std::size_t>(job.spec.kind);
+  switch (queue_.try_push_until(std::move(job),
                                 std::chrono::steady_clock::now() + wait)) {
     case QueuePush::Ok:
       ++next_seq_;
@@ -582,6 +595,23 @@ AnalysisEngine::Admission AnalysisEngine::try_submit_for(
   return Admission::Closed;  // unreachable
 }
 
+bool AnalysisEngine::probe(ProbedJob& job) {
+  const auto start = Clock::now();
+  const obs::Span job_span("service", job_kind_name(job.spec.kind));
+  CacheTier tier{*cache_, telemetry_};
+  probe_step(job, *arena_, config_.cache_enabled ? &tier : nullptr);
+  if (!job.result) {
+    job.charged = Clock::now() - start;
+    return false;
+  }
+  // Answered without a queue hop: counted as the worker would count it.
+  telemetry_.kind(static_cast<std::size_t>(job.spec.kind))
+      .submitted.fetch_add(1, std::memory_order_relaxed);
+  SB_OBS_COUNT("service.jobs", 1);
+  account(job, start);
+  return true;
+}
+
 void AnalysisEngine::finish() {
   if (finished_) return;
   finished_ = true;
@@ -591,13 +621,14 @@ void AnalysisEngine::finish() {
 }
 
 void AnalysisEngine::worker_loop() {
-  while (auto spec = queue_.pop()) process(std::move(*spec));
+  while (auto job = queue_.pop()) process(std::move(*job));
   std::scoped_lock lock(join_mutex_);
   if (--active_workers_ == 0) workers_done_.notify_all();
 }
 
-void AnalysisEngine::process(JobSpec spec) {
+void AnalysisEngine::process(ProbedJob job) {
   const auto start = Clock::now();
+  const JobSpec& spec = job.spec;
   if (spec.submit_us != 0)
     obs::record_complete("service", "queue_wait", spec.submit_us,
                          obs::now_us() - spec.submit_us);
@@ -611,11 +642,17 @@ void AnalysisEngine::process(JobSpec spec) {
       timeout_ms == 0 ? Clock::time_point::max()
                       : start + std::chrono::milliseconds(timeout_ms);
 
-  CacheTier tier{*cache_, telemetry_, std::nullopt};
-  JobResult result = run_job(spec, deadline, *arena_,
-                             config_.cache_enabled ? &tier : nullptr);
+  CacheTier tier{*cache_, telemetry_};
+  if (!job.probed)
+    probe_step(job, *arena_, config_.cache_enabled ? &tier : nullptr);
+  if (!job.result) execute_step(job, deadline, *arena_, cache_.get());
+  account(job, start);
+  emit(std::move(*job.result));
+}
 
-  JobKindTelemetry& tk = telemetry_.kind(static_cast<std::size_t>(spec.kind));
+void AnalysisEngine::account(const ProbedJob& job, Clock::time_point start) {
+  const JobResult& result = *job.result;
+  JobKindTelemetry& tk = telemetry_.kind(static_cast<std::size_t>(result.kind));
   if (result.ok) {
     tk.completed.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -627,11 +664,17 @@ void AnalysisEngine::process(JobSpec spec) {
         std::chrono::duration_cast<std::chrono::microseconds>(d).count());
   };
   // The probe is kept out of the latency histogram (tk.cache_probe).
-  const Clock::duration probe_time =
-      tier.probe_time.value_or(Clock::duration::zero());
-  tk.latency.record(micros(Clock::now() - start - probe_time));
-  if (tier.probe_time) tk.cache_probe.record(micros(probe_time));
-  emit(std::move(result));
+  tk.latency.record(
+      micros(job.charged + (Clock::now() - start) - job.probe_time));
+  if (!job.key) return;
+  tk.cache_probe.record(micros(job.probe_time));
+  if (job.hit) {
+    tk.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    SB_OBS_COUNT("service.cache_hits", 1);
+  } else {
+    tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    SB_OBS_COUNT("service.cache_misses", 1);
+  }
 }
 
 void AnalysisEngine::emit(JobResult result) {

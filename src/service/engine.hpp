@@ -4,8 +4,19 @@
 // Shape:
 //
 //   submit(spec) --> BoundedQueue (backpressure) --> ThreadPool workers
-//        --> execute (pure, deterministic)  --> in-order result sink
+//        --> probe step --> execute step (pure, deterministic)
 //                 \-> ResultCache keyed by network fingerprint + params
+//        --> in-order result sink
+//
+// Every job takes the same two steps. The probe step checks the spec,
+// parses the network, computes the cache key and looks it up (replaying
+// a cached refutation); it answers invalid specs, unparseable networks
+// and cache hits on its own. The execute step computes the payload of a
+// miss from the network and key the probe step left behind and inserts
+// it. A front end may run the probe step itself (probe(), any thread):
+// an answered job then never enters the queue, and a miss is submitted
+// with its probe already done (try_submit_for(ProbedJob)), so nothing is
+// parsed or probed twice.
 //
 // Contracts the rest of the system builds on:
 //
@@ -36,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "service/cache.hpp"
 #include "service/job.hpp"
@@ -46,6 +58,27 @@
 namespace shufflebound {
 
 class CompilationArena;
+
+/// A job between its two steps. The probe step fills it: `result` when
+/// the probe answered the job (invalid spec, unparseable network, cache
+/// hit), else the parsed network and cache key the execute step needs.
+struct ProbedJob {
+  using Clock = std::chrono::steady_clock;
+
+  explicit ProbedJob(JobSpec job_spec) : spec(std::move(job_spec)) {}
+
+  JobSpec spec;
+  std::optional<JobResult> result;
+  std::optional<ParsedNetwork> net;  // kinds with a network, once parsed
+  std::optional<CacheKey> key;       // set when the cache was probed
+  bool probed = false;               // the probe step has run
+  bool hit = false;                  // `result` came from the cache
+  /// Lookup + revalidation time; zero when the cache was not probed.
+  Clock::duration probe_time{};
+  /// Probe-step time spent before the job was queued (a front end's
+  /// probe()); the worker adds it to the job's latency.
+  Clock::duration charged{};
+};
 
 struct EngineConfig {
   std::size_t workers = 0;         // 0 = hardware concurrency
@@ -66,8 +99,9 @@ struct EngineConfig {
 
 class AnalysisEngine {
  public:
-  /// `sink` receives every result exactly once, in submission order, from
-  /// a worker thread (serialized - never concurrently).
+  /// `sink` receives every submitted job's result exactly once, in
+  /// submission order, from a worker thread (serialized - never
+  /// concurrently). A job probe() answered is never submitted.
   using ResultSink = std::function<void(const JobResult&)>;
 
   AnalysisEngine(EngineConfig config, ResultSink sink);
@@ -91,8 +125,17 @@ class AnalysisEngine {
   /// blocking indefinitely: QueueFull means the engine stayed saturated
   /// for the whole window and the job was dropped (no seq consumed, so
   /// result ordering is unaffected), Closed means finish() has begun.
-  /// Same single-producer contract as submit().
-  Admission try_submit_for(JobSpec spec, std::chrono::milliseconds wait);
+  /// Same single-producer contract as submit(). When the job's probe step
+  /// already ran (a probe() miss), the worker runs only its execute step.
+  Admission try_submit_for(ProbedJob job, std::chrono::milliseconds wait);
+
+  /// Runs the probe step on the calling thread. Thread-safe and outside
+  /// the single-producer contract: it takes no seq and no queue slot.
+  /// Returns true when the probe answered the job; `job.result` is then
+  /// final and counted in telemetry exactly as a worker-answered job
+  /// (submitted, completed or failed, cache hit, latency, cache_probe).
+  /// False means a miss: hand `job` to try_submit_for.
+  bool probe(ProbedJob& job);
 
   /// Closes the queue, drains remaining jobs, and joins the workers. The
   /// sink has seen every submitted job when this returns. Idempotent.
@@ -128,7 +171,11 @@ class AnalysisEngine {
 
  private:
   void worker_loop();
-  void process(JobSpec spec);
+  void process(ProbedJob job);
+  /// Counts a finished job: its outcome, cache hit or miss, latency
+  /// (job.charged plus the time since `start`, minus the probe) and
+  /// probe time.
+  void account(const ProbedJob& job, ProbedJob::Clock::time_point start);
   void emit(JobResult result);
 
   EngineConfig config_;
@@ -136,7 +183,7 @@ class AnalysisEngine {
   std::shared_ptr<ResultCache> cache_;
   CompilationArena* arena_;  // config_.arena or the process-wide global
   Telemetry telemetry_;
-  BoundedQueue<JobSpec> queue_;
+  BoundedQueue<ProbedJob> queue_;
   std::uint64_t next_seq_ = 0;
   bool finished_ = false;
 

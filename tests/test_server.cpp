@@ -285,6 +285,56 @@ TEST(Server, MultiMegabyteLineInSmallWritesGetsOneResponse) {
   EXPECT_EQ(rs.stop(), 0);
 }
 
+TEST(Server, OverlongLineGetsOneTooLargeErrorAndConnectionKeepsServing) {
+  ServerConfig config;
+  config.workers = 1;
+  RunningServer rs(config);
+
+  // Over-long lines are generated here rather than stored as seeds: one
+  // byte over the cap (its end and newline arrive in one read), and one
+  // that passes the cap reads before its newline arrives.
+  const auto overlong = [](std::size_t bytes) {
+    std::string line = "{\"id\":\"huge\",\"op\":\"info\",\"pad\":\"";
+    line.append(bytes - line.size(), 'x');
+    return line + "\n";
+  };
+
+  TestConn conn(rs.port());
+  ASSERT_TRUE(conn.connected());
+  const auto send_raw = [&conn](const std::string& data) {
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+      const ssize_t n = ::send(conn.fd(), data.data() + sent,
+                               data.size() - sent, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed";
+      sent += static_cast<std::size_t>(n);
+    }
+  };
+  conn.send_line(job_line("info", sorter8_text(), "before"));
+  send_raw(overlong(Server::kMaxLineBytes + 1));
+  conn.send_line(job_line("info", sorter8_text(), "middle"));
+  send_raw(overlong(Server::kMaxLineBytes + (64u << 10)));
+  conn.send_line(job_line("info", sorter8_text(), "after"));
+  conn.half_close();
+
+  std::vector<std::string> lines;
+  while (auto line = conn.read_line()) lines.push_back(*line);
+  ASSERT_EQ(lines.size(), 5u);
+  const std::vector<std::string> want_ids = {"before", "line-2", "middle",
+                                             "line-4", "after"};
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(response_id(lines[i]), want_ids[i]) << lines[i].substr(0, 200);
+    const JsonValue doc = JsonValue::parse(lines[i]);
+    if (i % 2 == 1) {
+      EXPECT_FALSE(find_path(doc, {"ok"})->as_bool());
+      EXPECT_EQ(find_path(doc, {"code"})->as_string(), "too_large");
+    } else {
+      EXPECT_TRUE(find_path(doc, {"ok"})->as_bool()) << lines[i];
+    }
+  }
+  EXPECT_EQ(rs.stop(), 0);
+}
+
 // ---- admission control ------------------------------------------------
 
 // Enough trials that one count-sorted job pins a worker for a while.
@@ -354,6 +404,160 @@ TEST(Server, SaturatedQueueYieldsOverloadedInOrder) {
   ASSERT_TRUE(conn.connected());
   const auto lines = blast_slow_jobs(conn, 8);
   expect_ordered_with_overloads(lines, 8);
+  EXPECT_EQ(rs.stop(), 0);
+}
+
+// ---- cache hits on the reader thread ------------------------------------
+
+std::string slow_count_line(const std::string& id) {
+  return count_sorted_line(to_text(bitonic_sorting_network(16)), kSlowTrials,
+                           1, id);
+}
+
+/// `line` with its "id" value `from` replaced by `to`.
+std::string renamed(const std::string& line, const std::string& from,
+                    const std::string& to) {
+  std::string out = line;
+  const std::string key = "\"id\":\"" + from + "\"";
+  const auto pos = out.find(key);
+  EXPECT_NE(pos, std::string::npos) << line;
+  if (pos != std::string::npos)
+    out.replace(pos, key.size(), "\"id\":\"" + to + "\"");
+  return out;
+}
+
+/// Sends `line` and returns its response, leaving the connection idle.
+std::string round_trip(TestConn& conn, const std::string& line) {
+  conn.send_line(line);
+  const auto response = conn.read_line();
+  EXPECT_TRUE(response.has_value()) << line;
+  return response.value_or("");
+}
+
+TEST(Server, HitIsAnsweredWhileAnotherConnectionRunsASlowMiss) {
+  ServerConfig config;
+  config.workers = 2;
+  RunningServer rs(config);
+
+  TestConn a(rs.port());
+  TestConn b(rs.port());
+  ASSERT_TRUE(a.connected() && b.connected());
+  const std::string hit_line = job_line("certify", sorter8_text(), "a1");
+  const std::string warm = round_trip(a, job_line("certify", sorter8_text(), "a0"));
+
+  b.send_line(slow_count_line("b0"));
+  std::this_thread::sleep_for(50ms);  // b0 is in the engine first
+  const std::string hit = round_trip(a, hit_line);
+  // Neither a worker nor the engine's in-order emission sits between the
+  // hit and its connection: it arrives while b0 is still computing.
+  EXPECT_FALSE(b.read_line(20ms).has_value()) << "slow miss finished first";
+  EXPECT_EQ(hit, renamed(warm, "a0", "a1"));
+  const auto slow = b.read_line();
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_EQ(response_id(*slow), "b0");
+  EXPECT_EQ(rs.stop(), 0);
+}
+
+TEST(Server, PipelinedSlowMissThenHitsComeBackInRequestOrder) {
+  ServerConfig config;
+  config.workers = 2;
+  RunningServer rs(config);
+
+  TestConn conn(rs.port());
+  ASSERT_TRUE(conn.connected());
+  const std::string warm =
+      round_trip(conn, job_line("certify", sorter8_text(), "w"));
+  conn.send_line(slow_count_line("s"));
+  conn.send_line(job_line("certify", sorter8_text(), "h1"));
+  conn.send_line(job_line("certify", sorter8_text(), "h2"));
+  conn.half_close();
+
+  std::vector<std::string> lines;
+  while (auto line = conn.read_line()) lines.push_back(*line);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(response_id(lines[0]), "s");
+  EXPECT_TRUE(JsonValue::parse(lines[0]).find("ok")->as_bool()) << lines[0];
+  EXPECT_EQ(lines[1], renamed(warm, "w", "h1"));
+  EXPECT_EQ(lines[2], renamed(warm, "w", "h2"));
+  EXPECT_EQ(rs.stop(), 0);
+}
+
+TEST(Server, PoisonedMemoryRefutationIsRevalidatedAndRecomputed) {
+  const std::string network = refutable_shuffle_text();
+  JobSpec spec;
+  spec.id = "m0";
+  spec.kind = JobKind::Refute;
+  spec.network_text = network;
+  const JobResult correct = AnalysisEngine::execute(spec);
+  ASSERT_EQ(correct.payload.find("status")->as_string(), "refuted");
+
+  // The same poison as the disk-tier test, planted in the memory tier of
+  // a server with no disk tier at all.
+  JsonValue poisoned = correct.payload;
+  JsonValue witness = *poisoned.find("witness");
+  witness.set("pi_prime", *witness.find("pi"));
+  witness.set("w1", *witness.find("w0"));
+  poisoned.set("witness", std::move(witness));
+
+  ServerConfig config;
+  config.workers = 1;
+  RunningServer rs(config);
+  rs.server->engine().cache().insert(
+      AnalysisEngine::cache_key(spec, parse_any_network(network)), poisoned);
+
+  // The connection is idle, so the reader thread probes: the replay fails,
+  // the entry is invalidated and the job is recomputed by a worker.
+  TestConn conn(rs.port());
+  ASSERT_TRUE(conn.connected());
+  EXPECT_EQ(round_trip(conn, job_line("refute", network, "m0")),
+            correct.to_json_line());
+  // The recomputed payload replaced the poison: the next probe serves it.
+  EXPECT_EQ(round_trip(conn, job_line("refute", network, "m0")),
+            correct.to_json_line());
+
+  const JsonValue telemetry = rs.server->engine().telemetry_to_json();
+  EXPECT_EQ(telemetry.find("witness_revalidations")->as_uint(), 2u);
+  EXPECT_EQ(telemetry.find("witness_revalidation_failures")->as_uint(), 1u);
+  EXPECT_EQ(find_path(telemetry, {"cache", "invalidations"})->as_uint(), 1u);
+  EXPECT_EQ(find_path(telemetry, {"jobs", "refute", "cache_hits"})->as_uint(), 1u);
+  EXPECT_EQ(find_path(telemetry, {"jobs", "refute", "cache_misses"})->as_uint(), 1u);
+  EXPECT_EQ(rs.stop(), 0);
+}
+
+TEST(Server, ReaderThreadHitsCountInEveryJobCounter) {
+  ServerConfig config;
+  config.workers = 1;
+  RunningServer rs(config);
+
+  TestConn conn(rs.port());
+  ASSERT_TRUE(conn.connected());
+  const std::string line = job_line("info", sorter8_text(), "i");
+  round_trip(conn, line);  // the miss that fills the cache
+
+  const auto counter = [&](const JsonValue& stats,
+                           std::initializer_list<const char*> path) {
+    const JsonValue* entry = find_path(stats, {"result", "jobs", "info"});
+    EXPECT_NE(entry, nullptr);
+    const JsonValue* node = entry == nullptr ? nullptr : find_path(*entry, path);
+    EXPECT_NE(node, nullptr);
+    return node == nullptr ? 0 : node->as_uint();
+  };
+  const std::string stats_line = "{\"op\":\"stats\"}";
+  const JsonValue before = JsonValue::parse(round_trip(conn, stats_line));
+  constexpr std::uint64_t kHits = 5;
+  for (std::uint64_t i = 0; i < kHits; ++i) round_trip(conn, line);
+  const JsonValue after = JsonValue::parse(round_trip(conn, stats_line));
+
+  // Each hit is a whole job to every reader of `stats`: perfbench divides
+  // engine time by latency.count, so a hit missing from it would inflate
+  // the measured wire overhead.
+  for (const std::initializer_list<const char*> path :
+       {std::initializer_list<const char*>{"submitted"}, {"completed"},
+        {"cache_hits"}, {"latency", "count"}, {"cache_probe", "count"}})
+    EXPECT_EQ(counter(after, path) - counter(before, path), kHits)
+        << *path.begin();
+  EXPECT_EQ(counter(after, {"cache_misses"}), counter(before, {"cache_misses"}));
+  EXPECT_EQ(counter(after, {"failed"}), 0u);
   EXPECT_EQ(rs.stop(), 0);
 }
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -596,6 +598,73 @@ TEST(ServiceEngine, EveryKindGivesOneResultAcrossEntryPointsAndCacheStates) {
   for (const BatchRun* run : {&cold, &warm, &off})
     EXPECT_EQ(
         telemetry_uint(run->telemetry, {"witness_revalidation_failures"}), 0u);
+}
+
+/// Feeds `lines` the way the server feeds an idle connection: probe()
+/// first, and only a miss goes to the queue - each waited for before the
+/// next line, so a duplicate finds its twin in the cache.
+BatchRun run_probe_first(const std::vector<std::string>& job_lines,
+                         EngineConfig config) {
+  BatchRun run;
+  std::mutex mutex;
+  std::condition_variable emitted;
+  {
+    AnalysisEngine engine(std::move(config), [&](const JobResult& result) {
+      std::scoped_lock lock(mutex);
+      run.lines.push_back(result.to_json_line());
+      emitted.notify_all();
+    });
+    std::uint64_t line_number = 0;
+    for (const auto& line : job_lines) {
+      ProbedJob job(job_from_json_line(line, ++line_number));
+      if (engine.probe(job)) {
+        std::scoped_lock lock(mutex);
+        run.lines.push_back(job.result->to_json_line());
+        continue;
+      }
+      EXPECT_TRUE(job.probed);
+      EXPECT_FALSE(job.result.has_value());
+      std::unique_lock lock(mutex);
+      const std::size_t before = run.lines.size();
+      lock.unlock();
+      EXPECT_EQ(engine.try_submit_for(std::move(job), std::chrono::hours(1)),
+                AnalysisEngine::Admission::Accepted);
+      lock.lock();
+      emitted.wait(lock, [&] { return run.lines.size() > before; });
+    }
+    engine.finish();
+    run.telemetry = engine.telemetry_to_json();
+  }
+  return run;
+}
+
+TEST(ServiceEngine, ProbeFirstEntryPointMatchesTheQueuedPath) {
+  const std::vector<std::string> lines = every_kind_job_lines();
+  const auto config = [](std::shared_ptr<ResultCache> cache) {
+    EngineConfig c;
+    c.workers = 1;
+    c.cache = std::move(cache);
+    return c;
+  };
+  const auto queued_cache = std::make_shared<ResultCache>();
+  const auto probed_cache = std::make_shared<ResultCache>();
+  const BatchRun queued_cold = run_batch(lines, config(queued_cache));
+  const BatchRun probed_cold = run_probe_first(lines, config(probed_cache));
+  const BatchRun queued_warm = run_batch(lines, config(queued_cache));
+  const BatchRun probed_warm = run_probe_first(lines, config(probed_cache));
+
+  // Same bytes, and every answer counted in the same telemetry whether a
+  // worker or the caller's probe() produced it.
+  EXPECT_EQ(probed_cold.lines, queued_cold.lines);
+  EXPECT_EQ(probed_warm.lines, queued_warm.lines);
+  EXPECT_EQ(kind_counts(probed_cold.telemetry), kind_counts(queued_cold.telemetry));
+  EXPECT_EQ(kind_counts(probed_warm.telemetry), kind_counts(queued_warm.telemetry));
+  for (const char* kind : {"certify", "refute", "lint", "invalid"})
+    EXPECT_EQ(telemetry_uint(probed_warm.telemetry, {"jobs", kind, "latency", "count"}),
+              telemetry_uint(probed_warm.telemetry, {"jobs", kind, "submitted"}))
+        << kind;
+  EXPECT_EQ(telemetry_uint(probed_warm.telemetry, {"witness_revalidations"}),
+            telemetry_uint(queued_warm.telemetry, {"witness_revalidations"}));
 }
 
 }  // namespace
