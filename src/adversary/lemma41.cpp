@@ -4,19 +4,11 @@
 #include <map>
 #include <stdexcept>
 
-#include "util/thread_pool.hpp"
-
 namespace shufflebound {
 
 namespace {
 
 constexpr std::uint32_t kNoSet = static_cast<std::uint32_t>(-1);
-
-// Below these trip counts the parallel_for dispatch overhead exceeds the
-// loop body; measured on the E21 pipeline (per-gate bodies are a few ns,
-// per-parent bodies do real matching work).
-constexpr std::size_t kGateGrain = 512;
-constexpr std::size_t kParentGrain = 16;
 
 bool is_entry_symbol(PatternSymbol s) {
   return s == sym_S(0) || s == sym_M(0) || s == sym_L(0);
@@ -69,15 +61,6 @@ void Lemma41Driver::demote(wire_t w, std::uint32_t set_index,
   set_index_of_wire_[w] = kNoSet;
 }
 
-void Lemma41Driver::run_indexed(std::size_t count, std::size_t grain,
-                                const std::function<void(std::size_t)>& body) {
-  if (pool_ != nullptr && count >= grain) {
-    pool_->parallel_for(0, count, body);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-  }
-}
-
 std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
   if (progress_) progress_();
   const std::uint32_t m = level_ + 1;
@@ -85,7 +68,7 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
     throw std::logic_error("Lemma41Driver: more levels than the tree has");
 
   // Parent lookup for this layer, plus a dense parent -> slot index so the
-  // per-parent stages can target pre-assigned output slots.
+  // collision scan can bucket collisions by parent.
   std::vector<int> parent_of(tree_.nodes().size(), -1);
   std::vector<int> slot_of_parent(tree_.nodes().size(), -1);
   std::vector<bool> is_left_child(tree_.nodes().size(), false);
@@ -100,9 +83,7 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
   }
 
   // --- Validation: every gate crosses the two children of one parent. ---
-  // Read-only over shared state; safe to fan out as-is.
-  run_indexed(level.gates.size(), kGateGrain, [&](std::size_t gi) {
-    const Gate& g = level.gates[gi];
+  for (const Gate& g : level.gates) {
     const int a = node_of_wire_.at(g.lo);
     const int b = node_of_wire_.at(g.hi);
     if (a < 0 || b < 0 || a == b ||
@@ -111,12 +92,11 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
             parent_of[static_cast<std::size_t>(b)])
       throw std::invalid_argument(
           "Lemma41Driver: level gate violates the RDN decomposition");
-  });
+  }
 
   // --- Step 1: collision scan on pre-level positions. ---
-  // Per parent node: triples (left set i, right set j, left wire). Serial:
-  // the scan is O(gates) of pure reads, and the per-parent collision order
-  // must stay the gate-scan order for bit-identical demotions.
+  // Per parent node: triples (left set i, right set j, left wire), in
+  // gate-scan order.
   struct Collision {
     std::uint32_t left_set;
     std::uint32_t right_set;
@@ -140,15 +120,11 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
   }
 
   // --- Steps 2 & 3 per parent: pick i0, demote, rename the right child. ---
-  // Parents own disjoint wire subtrees (and values from a child's wires
-  // still sit on that child's lines before this level acts), so the
-  // per-parent bodies touch disjoint pattern/state/bookkeeping slots and
-  // fan out racelessly. Sacrificed wires land in per-parent lists and are
-  // concatenated in parents order - exactly the serial emission order.
+  // Sacrificed wires are listed in parent order, then gate-scan order.
   const std::uint32_t xj = next_xj_++;
   const std::uint64_t offsets = static_cast<std::uint64_t>(k_) * k_;
-  std::vector<std::vector<wire_t>> sacrificed_by_slot(parents.size());
-  run_indexed(parents.size(), kParentGrain, [&](std::size_t slot) {
+  std::vector<wire_t> sacrificed;
+  for (std::size_t slot = 0; slot < parents.size(); ++slot) {
     const int pid = parents[slot];
     const RdnTree::Node& parent = tree_.node(pid);
     const std::vector<Collision>& cols = collisions_by_slot[slot];
@@ -178,7 +154,7 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
     for (const Collision& c : cols) {
       if (c.left_set >= c.right_set && c.left_set - c.right_set == i0) {
         demote(c.left_wire, c.left_set, xj);
-        sacrificed_by_slot[slot].push_back(c.left_wire);
+        sacrificed.push_back(c.left_wire);
       }
     }
 
@@ -199,17 +175,13 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
            node_sets_[static_cast<std::size_t>(parent.right)].sets)
         index += i0;
     }
-  });
-  std::vector<wire_t> sacrificed;
-  for (const std::vector<wire_t>& part : sacrificed_by_slot)
-    sacrificed.insert(sacrificed.end(), part.begin(), part.end());
+  }
   stats_.loss_per_level.push_back(sacrificed.size());
 
   // --- Step 4: apply the level to the symbol state. ---
   // A level is a matching (add_level rejects shared wires), so distinct
   // gates touch distinct lines - and therefore distinct tracked wires.
-  run_indexed(level.gates.size(), kGateGrain, [&](std::size_t gi) {
-    const Gate& g = level.gates[gi];
+  for (const Gate& g : level.gates) {
     PatternSymbol& a = state_[g.lo];
     PatternSymbol& b = state_[g.hi];
     bool do_swap = false;
@@ -236,13 +208,10 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
       if (wire_at_pos_[g.lo] != npos) pos_of_wire_[wire_at_pos_[g.lo]] = g.lo;
       if (wire_at_pos_[g.hi] != npos) pos_of_wire_[wire_at_pos_[g.hi]] = g.hi;
     }
-  });
+  }
 
   // --- Step 5: merge child set collections into the parents. ---
-  // Each parent merges only its own two children and relabels only its
-  // own wires: disjoint writes again.
-  run_indexed(parents.size(), kParentGrain, [&](std::size_t slot) {
-    const int pid = parents[slot];
+  for (const int pid : parents) {
     const RdnTree::Node& parent = tree_.node(pid);
     NodeSets merged;
     std::map<std::uint32_t, std::vector<wire_t>> combined;
@@ -262,7 +231,7 @@ std::vector<wire_t> Lemma41Driver::feed_level(const Level& level) {
     }
     node_sets_[static_cast<std::size_t>(pid)] = std::move(merged);
     for (const wire_t w : parent.wires) node_of_wire_[w] = pid;
-  });
+  }
 
   net_.add_level(level);
   level_ = m;
@@ -297,11 +266,10 @@ Lemma41Result Lemma41Driver::finish() && {
 }
 
 Lemma41Result lemma41(const RdnChunk& chunk, const InputPattern& p,
-                      std::uint32_t k, ThreadPool* pool) {
+                      std::uint32_t k) {
   if (auto err = chunk.tree.validate(chunk.net))
     throw std::invalid_argument("lemma41: chunk is not an RDN: " + *err);
   Lemma41Driver driver(chunk.tree, p, k);
-  driver.set_parallelism(pool);
   for (const Level& level : chunk.net.levels()) driver.feed_level(level);
   return std::move(driver).finish();
 }

@@ -33,8 +33,6 @@
 
 namespace shufflebound {
 
-class ThreadPool;
-
 struct Lemma41Stats {
   std::size_t initial_m0 = 0;   // |A|
   std::size_t retained = 0;     // |B|
@@ -59,12 +57,8 @@ struct Lemma41Result {
 
 /// Runs Lemma 4.1 on a fixed chunk. Throws if p contains symbols other
 /// than S_0 / M_0 / L_0, if k == 0, or if the chunk is malformed.
-/// `pool` fans the per-level work (gate validation, per-parent matching,
-/// symbol stepping, set merging) out over the pool's workers; nullptr is
-/// the serial reference path. Both paths produce bit-identical results:
-/// every parallel loop writes disjoint, pre-assigned slots.
 Lemma41Result lemma41(const RdnChunk& chunk, const InputPattern& p,
-                      std::uint32_t k, ThreadPool* pool = nullptr);
+                      std::uint32_t k);
 
 /// Level-stepped driver for the adaptive setting: the adversary commits to
 /// nothing ahead of time; `next_level(m)` is called once per level
@@ -74,12 +68,6 @@ Lemma41Result lemma41(const RdnChunk& chunk, const InputPattern& p,
 class Lemma41Driver {
  public:
   Lemma41Driver(RdnTree tree, InputPattern p, std::uint32_t k);
-
-  /// Fans per-level work out over `pool` (nullptr = serial reference).
-  /// The parallel path is bit-identical to the serial one: each loop
-  /// writes disjoint wire/line/node slots, and ordered outputs (the
-  /// sacrificed list) are concatenated in the serial iteration order.
-  void set_parallelism(ThreadPool* pool) noexcept { pool_ = pool; }
 
   /// Hook invoked once per feed_level call before any work - the
   /// cooperative-deadline discipline of the certify path (throw from the
@@ -120,14 +108,7 @@ class Lemma41Driver {
 
   void demote(wire_t w, std::uint32_t set_index, std::uint32_t xj);
 
-  /// Runs body(i) for i in [0, count): over the pool when one is set and
-  /// the trip count clears `grain`, serially otherwise. Iterations must
-  /// be independent (disjoint writes), which every caller guarantees.
-  void run_indexed(std::size_t count, std::size_t grain,
-                   const std::function<void(std::size_t)>& body);
-
   RdnTree tree_;
-  ThreadPool* pool_ = nullptr;
   std::function<void()> progress_;
   std::uint32_t k_ = 1;
   std::uint32_t level_ = 0;  // levels processed so far

@@ -6,7 +6,6 @@
 #include "obs/obs.hpp"
 #include "sim/compiled_net.hpp"
 #include "util/bits.hpp"
-#include "util/thread_pool.hpp"
 
 namespace shufflebound {
 
@@ -15,7 +14,6 @@ namespace {
 AdversaryOptions adversary_options(const RefuteOptions& options) {
   AdversaryOptions out;
   out.k = options.k;
-  out.pool = options.pool;
   out.progress = options.progress;
   return out;
 }
@@ -117,23 +115,27 @@ RefutationResult refute(const ComparatorNetwork& net,
   const std::uint32_t d = log2_exact(net.width());
   IteratedRdn rdn(net.width());
   std::size_t chunks = 0;
-  for (std::size_t first = 0; first < net.depth() || chunks == 0;
-       first += d) {
-    const std::size_t last = std::min(first + d, net.depth());
-    ComparatorNetwork slice = net.slice(first, last);
-    while (slice.depth() < d) slice.add_level(Level{});
-    const auto tree = recognize_rdn(slice);
-    if (!tree) {
-      std::ostringstream note;
-      note << "levels [" << first << ", " << last
-           << ") do not form a recognizable reverse delta network";
-      out_of_scope.detail = note.str();
-      return out_of_scope;
+  {
+    SB_OBS_SPAN("refuter", "slice");
+    SB_OBS_TIME_COUNT("refuter.phase_us.slice");
+    for (std::size_t first = 0; first < net.depth() || chunks == 0;
+         first += d) {
+      const std::size_t last = std::min(first + d, net.depth());
+      ComparatorNetwork slice = net.slice(first, last);
+      while (slice.depth() < d) slice.add_level(Level{});
+      const auto tree = recognize_rdn(slice);
+      if (!tree) {
+        std::ostringstream note;
+        note << "levels [" << first << ", " << last
+             << ") do not form a recognizable reverse delta network";
+        out_of_scope.detail = note.str();
+        return out_of_scope;
+      }
+      rdn.add_stage({Permutation::identity(net.width()),
+                     RdnChunk{std::move(slice), *tree}});
+      ++chunks;
+      if (last >= net.depth()) break;
     }
-    rdn.add_stage({Permutation::identity(net.width()),
-                   RdnChunk{std::move(slice), *tree}});
-    ++chunks;
-    if (last >= net.depth()) break;
   }
   const AdversaryResult adversary =
       run_adversary(rdn, adversary_options(options));

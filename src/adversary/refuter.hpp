@@ -21,8 +21,6 @@
 
 namespace shufflebound {
 
-class ThreadPool;
-
 enum class RefutationStatus : std::uint8_t {
   Refuted,            // certificate produced and self-verified
   TooFewSurvivors,    // adversary ran but ended with < 2 survivors
@@ -40,15 +38,9 @@ struct RefutationResult {
 struct RefuteOptions {
   /// k = 0 picks the paper's k = lg n.
   std::uint32_t k = 0;
-  /// Fans the adversary refinement and witness replay out over this pool;
-  /// nullptr runs the reference serial path. Results are bit-for-bit
-  /// identical either way (every parallel loop writes pre-assigned
-  /// disjoint slots).
-  ThreadPool* pool = nullptr;
-  /// Cooperative-cancellation hook: invoked at every RDN level and every
-  /// witness replay, always on the calling thread before work fans out.
-  /// Throw from it to abort; the exception propagates to the refute()
-  /// caller with all pool workers quiesced.
+  /// Cooperative-cancellation hook: invoked at every RDN level and before
+  /// the witness replay, on the calling thread. Throw from it to abort;
+  /// the exception propagates to the refute() caller.
   std::function<void()> progress;
 };
 

@@ -73,7 +73,6 @@ std::vector<SweepPoint> run_sweep(const SweepConfig& config) {
     throw std::invalid_argument("run_sweep: max_depth must be >= 1");
 
   RefuteOptions refute_options;
-  refute_options.pool = config.pool;
   refute_options.progress = config.progress;
 
   std::vector<SweepPoint> points;

@@ -55,7 +55,7 @@ struct SweepConfig {
   std::size_t max_depth = 8;   // cap on iterated stages d per width
   std::uint64_t seed = 1;      // family construction seed
   std::size_t witnesses = 64;  // enumeration cap at the deepest refuted d
-  ThreadPool* pool = nullptr;  // nullptr = serial reference path
+  ThreadPool* pool = nullptr;  // witness batch; nullptr = serial
   std::function<void()> progress;  // cooperative-cancellation hook
 };
 

@@ -7,7 +7,6 @@
 
 #include "obs/obs.hpp"
 #include "util/bits.hpp"
-#include "util/thread_pool.hpp"
 
 namespace shufflebound {
 
@@ -48,19 +47,6 @@ std::size_t select_set(const std::vector<std::vector<wire_t>>& sets,
   return largest;
 }
 
-/// Per-slot loops below this width run serially even with a pool: the
-/// bodies are a few instructions each.
-constexpr wire_t kSlotGrain = 2048;
-
-void for_each_slot(ThreadPool* pool, wire_t n,
-                   const std::function<void(std::size_t)>& body) {
-  if (pool != nullptr && n >= kSlotGrain) {
-    pool->parallel_for(0, n, body);
-  } else {
-    for (std::size_t s = 0; s < n; ++s) body(s);
-  }
-}
-
 }  // namespace
 
 AdversaryResult run_adversary(const IteratedRdn& net, std::uint32_t k,
@@ -78,13 +64,10 @@ AdversaryResult run_adversary(const IteratedRdn& net,
   std::uint32_t k = options.k;
   if (k == 0) k = std::max<std::uint32_t>(1, log2_exact(n));
   const SetSelection selection = options.selection;
-  ThreadPool* pool = options.pool;
   SB_OBS_SPAN("refuter", "adversary");
   SB_OBS_TIME_COUNT("refuter.phase_us.adversary");
   SB_OBS_COUNT("refuter.adversary_runs", 1);
   SB_OBS_COUNT("refuter.adversary_stages", net.stage_count());
-  SB_OBS_GAUGE("refuter.pool_workers",
-               pool == nullptr ? 0 : pool->worker_count());
 
   AdversaryResult result;
   result.input_pattern = InputPattern(n, sym_M(0));
@@ -103,16 +86,13 @@ AdversaryResult run_adversary(const IteratedRdn& net,
 
   for (const IteratedRdn::Stage& stage : net.stages()) {
     // Free permutation in front of the chunk: slot j -> slot pre(j).
-    // A permutation scatter: every slot writes a distinct target, so the
-    // loop fans out with no coordination.
     {
       auto& symbols = cut_pattern.mutable_symbols();
-      for_each_slot(pool, n,
-                    [&](std::size_t s) { scratch[stage.pre[static_cast<wire_t>(s)]] = symbols[s]; });
+      for (wire_t s = 0; s < n; ++s) {
+        scratch[stage.pre[s]] = symbols[s];
+        scratch_w[stage.pre[s]] = survivor_at_slot[s];
+      }
       symbols.swap(scratch);
-      for_each_slot(pool, n, [&](std::size_t s) {
-        scratch_w[stage.pre[static_cast<wire_t>(s)]] = survivor_at_slot[s];
-      });
       survivor_at_slot.swap(scratch_w);
     }
 
@@ -120,12 +100,11 @@ AdversaryResult run_adversary(const IteratedRdn& net,
     {
       SB_OBS_SPAN("refuter", "lemma41_refine");
       SB_OBS_TIME_COUNT("refuter.phase_us.lemma41_refine");
-      // Inlined lemma41() so the driver can carry the pool and the
-      // per-level progress hook (cooperative deadline).
+      // Inlined lemma41() so the driver can carry the per-level progress
+      // hook (cooperative deadline).
       if (auto err = stage.chunk.tree.validate(stage.chunk.net))
         throw std::invalid_argument("lemma41: chunk is not an RDN: " + *err);
       Lemma41Driver driver(stage.chunk.tree, cut_pattern, k);
-      driver.set_parallelism(pool);
       if (options.progress) driver.set_progress(options.progress);
       for (const Level& level : stage.chunk.net.levels())
         driver.feed_level(level);
@@ -153,13 +132,11 @@ AdversaryResult run_adversary(const IteratedRdn& net,
     // and renormalize with rho (Lemma 3.4): the chosen set's wires become
     // M_0; every other previous survivor becomes S_0 or L_0 according to
     // its refined symbol's order relative to the chosen one.
-    // Distinct slots hold distinct origins (the tracking is injective) and
-    // land on distinct final positions, so the pull-back fans out too.
     std::vector<wire_t> next_survivor_at_slot(n, npos);
-    for_each_slot(pool, n, [&](std::size_t slot) {
+    for (wire_t slot = 0; slot < n; ++slot) {
       const wire_t origin = survivor_at_slot[slot];
-      if (origin == npos) return;
-      const PatternSymbol refined = lemma.refined[static_cast<wire_t>(slot)];
+      if (origin == npos) continue;
+      const PatternSymbol refined = lemma.refined[slot];
       if (refined == chosen_symbol) {
         result.input_pattern.set(origin, sym_M(0));
         next_survivor_at_slot[lemma.final_position[slot]] = origin;
@@ -168,13 +145,13 @@ AdversaryResult run_adversary(const IteratedRdn& net,
       } else {
         result.input_pattern.set(origin, sym_L(0));
       }
-    });
+    }
     survivor_at_slot.swap(next_survivor_at_slot);
 
     // rho applied to the chunk's output pattern gives the next cut pattern.
     auto& symbols = cut_pattern.mutable_symbols();
-    for_each_slot(pool, n, [&](std::size_t slot) {
-      const PatternSymbol out = lemma.output[static_cast<wire_t>(slot)];
+    for (wire_t slot = 0; slot < n; ++slot) {
+      const PatternSymbol out = lemma.output[slot];
       if (out == chosen_symbol) {
         symbols[slot] = sym_M(0);
       } else if (out < chosen_symbol) {
@@ -182,7 +159,7 @@ AdversaryResult run_adversary(const IteratedRdn& net,
       } else {
         symbols[slot] = sym_L(0);
       }
-    });
+    }
   }
 
   result.survivors = result.input_pattern.set_of(sym_M(0));

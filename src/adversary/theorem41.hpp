@@ -21,8 +21,6 @@
 
 namespace shufflebound {
 
-class ThreadPool;
-
 struct AdversaryStageStats {
   std::size_t entering = 0;    // |M_0-set| entering this chunk
   std::size_t retained = 0;    // |B| after Lemma 4.1
@@ -59,14 +57,8 @@ struct AdversaryOptions {
   /// k = 0 selects the paper's choice k = lg n (and at least 1).
   std::uint32_t k = 0;
   SetSelection selection = SetSelection::Largest;
-  /// Fans the per-level and per-slot work out over this pool; nullptr is
-  /// the serial reference path. Both paths are bit-identical (every
-  /// parallel loop writes disjoint pre-assigned slots), so the serial
-  /// mode stays available for differential tests via this flag alone.
-  ThreadPool* pool = nullptr;
   /// Invoked once per RDN level consumed - the cooperative-deadline hook
-  /// (throw to abort; the exception propagates out of run_adversary, also
-  /// across pool workers via parallel_for's exception channel).
+  /// (throw to abort; the exception propagates out of run_adversary).
   std::function<void()> progress;
 };
 
@@ -75,7 +67,7 @@ struct AdversaryOptions {
 AdversaryResult run_adversary(const IteratedRdn& net, std::uint32_t k = 0,
                               SetSelection selection = SetSelection::Largest);
 
-/// Options form: pool-parallel execution and cooperative deadlines.
+/// Options form: adds the cooperative-deadline hook.
 AdversaryResult run_adversary(const IteratedRdn& net,
                               const AdversaryOptions& options);
 

@@ -24,6 +24,8 @@
 
 namespace shufflebound {
 
+class ThreadPool;
+
 struct Witness {
   Permutation pi;        // input refining the adversary's pattern
   Permutation pi_prime;  // pi with values m and m+1 swapped

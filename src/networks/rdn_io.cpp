@@ -13,12 +13,15 @@ namespace {
   throw std::invalid_argument("iterated network text: " + what);
 }
 
+[[noreturn]] void fail_line(std::size_t line_no, const std::string& what) {
+  throw std::invalid_argument("iterated network text line " +
+                              std::to_string(line_no) + ": " + what);
+}
+
 [[noreturn]] void fail_at(std::size_t line_no, const char* what,
                           std::string_view entry) {
-  throw std::invalid_argument("iterated network text line " +
-                              std::to_string(line_no) + ": " + what +
-                              " entry '" + std::string(entry) +
-                              "' is not an integer");
+  fail_line(line_no, std::string(what) + " entry '" + std::string(entry) +
+                         "' is not an integer");
 }
 
 }  // namespace
@@ -77,17 +80,20 @@ IteratedRdn iterated_from_source(const NetworkSource& src) {
       try {
         append_level(chunk, level);
       } catch (const std::invalid_argument& e) {
-        // Numbered as line 2 of the level's one-line circuit, as this
-        // parser has always reported level errors.
-        throw std::invalid_argument(std::string("network text line 2: ") +
-                                    e.what());
+        fail_line(level.line, e.what());
       }
     }
     if (stage.stray_line != 0 || (!stage.closed && src.terminated))
       fail("expected 'level' or 'endstage'");
     if (!stage.closed) fail("missing 'endstage'");
-    net.add_stage(IteratedRdn::Stage{std::move(pre),
-                                     RdnChunk{std::move(chunk), std::move(tree)}});
+    try {
+      net.add_stage(IteratedRdn::Stage{
+          std::move(pre), RdnChunk{std::move(chunk), std::move(tree)}});
+    } catch (const std::invalid_argument& e) {
+      // A stage that breaks the RDN rules is numbered by its first level.
+      fail_line(stage.levels.empty() ? stage.line : stage.levels.front().line,
+                e.what());
+    }
   }
   if (src.stray_line != 0) fail("expected 'stage perm'");
   if (!src.terminated) fail("missing 'end'");

@@ -8,6 +8,7 @@
 
 #include "networks/batcher.hpp"
 #include "networks/classic.hpp"
+#include "networks/rdn_io.hpp"
 #include "networks/shuffle.hpp"
 #include "util/prng.hpp"
 
@@ -74,15 +75,23 @@ TEST(CircuitText, FixtureParseErrorsPointAtTheRightLine) {
   const struct {
     const char* file;
     const char* line_tag;
+    bool iterated;
   } cases[] = {
-      {"bad_wire_index.txt", "network text line 4"},
-      {"level_conflict.txt", "network text line 3"},
-      {"gate_self_loop.txt", "network text line 4"},
-      {"truncated.txt", "network text line 4"},  // last content line
+      {"bad_wire_index.txt", "network text line 4", false},
+      {"level_conflict.txt", "network text line 3", false},
+      {"gate_self_loop.txt", "network text line 4", false},
+      {"truncated.txt", "network text line 4", false},  // last content line
+      {"iterated_bad_wire.txt", "iterated network text line 7", true},
+      // A stage that is no RDN is numbered by its first level line.
+      {"iterated_nonconforming.txt", "iterated network text line 7", true},
   };
   for (const auto& c : cases) {
     try {
-      circuit_from_text(fixture(c.file));
+      if (c.iterated) {
+        iterated_from_text(fixture(c.file));
+      } else {
+        circuit_from_text(fixture(c.file));
+      }
       FAIL() << c.file << " parsed unexpectedly";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(c.line_tag), std::string::npos)

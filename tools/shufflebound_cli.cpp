@@ -15,12 +15,10 @@
 //   analyze <file> [--json]           static order-relation analysis:
 //                                     verdict, trivial comparators, dead
 //                                     levels, fingerprints (docs/analyze.md)
-//   refute <file> [--serial] [--workers n] [--chunked]
-//                                     run the paper's adversary; on success
+//   refute <file> [--chunked]         run the paper's adversary; on success
 //                                     print a nonsorting-certificate (the
 //                                     chunked v2 stream for n >= 512 or
-//                                     with --chunked); parallel over a
-//                                     thread pool unless --serial
+//                                     with --chunked)
 //   sweep [--family f] [--lg-min a] [--lg-max b] [--max-depth d] [--seed s]
 //         [--witnesses w] [--serial] [--workers n] [--json]
 //                                     empirical bound curve: deepest
@@ -380,41 +378,27 @@ int cmd_analyze(int argc, char** argv) {
 
 int cmd_refute(int argc, char** argv) {
   std::string path;
-  bool serial = false;
   bool chunked = false;
-  std::size_t workers = 0;
+  bool usage_error = false;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--serial") {
-      serial = true;
-    } else if (arg == "--chunked") {
+    if (arg == "--chunked") {
       chunked = true;
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
       path = arg;
     } else {
-      std::fprintf(stderr,
-                   "usage: refute <file> [--serial] [--workers n] "
-                   "[--chunked]\n");
-      return 2;
+      usage_error = true;
     }
   }
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "usage: refute <file> [--serial] [--workers n] "
-                 "[--chunked]\n");
+  if (usage_error || path.empty()) {
+    std::fprintf(stderr, "usage: refute <file> [--chunked]\n");
     return 2;
   }
   const LoadedNetwork loaded = load_network(path);
-  std::optional<ThreadPool> pool;          // nullopt = serial reference path
-  if (!serial) pool.emplace(workers);      // 0 = hardware concurrency
-  RefuteOptions options;
-  options.pool = pool ? &*pool : nullptr;
   const RefutationResult result =
-      loaded.iterated_form   ? refute(*loaded.iterated_form, options)
-      : loaded.register_form ? refute(*loaded.register_form, options)
-                             : refute(loaded.circuit, options);
+      loaded.iterated_form   ? refute(*loaded.iterated_form)
+      : loaded.register_form ? refute(*loaded.register_form)
+                             : refute(loaded.circuit);
   switch (result.status) {
     case RefutationStatus::Refuted:
       // --chunked forces the v2 stream; verify accepts both.
