@@ -15,16 +15,13 @@ char op_char(GateOp op) {
   return op == GateOp::Exchange ? 'x' : gate_op_symbol(op);
 }
 
-[[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  throw std::invalid_argument("network text line " + std::to_string(line_no) +
-                              ": " + what);
-}
+constexpr const char* kText = "network text";
 
 GateOp register_op_from_char(char c, std::size_t line_no) {
   for (const GateOp op : {GateOp::CompareAsc, GateOp::CompareDesc,
                           GateOp::Exchange, GateOp::Passthrough})
     if (gate_op_symbol(op) == c) return op;
-  fail(line_no, std::string("unknown register op '") + c + "'");
+  fail_at(kText, line_no, std::string("unknown register op '") + c + "'");
 }
 
 }  // namespace
@@ -45,14 +42,6 @@ std::string to_text(const Level& level) {
   for (const Gate& g : level.gates)
     out << ' ' << g.lo << op_char(g.op) << g.hi;
   return out.str();
-}
-
-void check_text_width(const char* format, wire_t width) {
-  if (width > kMaxTextWidth)
-    throw std::invalid_argument(
-        std::string(format) + " network text: width " +
-        std::to_string(width) + " exceeds kMaxTextWidth = " +
-        std::to_string(kMaxTextWidth));
 }
 
 std::string to_text(const RegisterNetwork& net) {
@@ -78,21 +67,9 @@ std::string to_text(const RegisterNetwork& net) {
 }
 
 ComparatorNetwork circuit_from_source(const NetworkSource& src) {
-  if (src.header_line == 0)
-    throw std::invalid_argument("network text: empty input");
-  const auto width = declared_width(src, SourceModel::Circuit);
-  if (!width) fail(src.header_line, "expected 'circuit <width>'");
-  ComparatorNetwork net(*width);
-  for (const SourceLevel& level : src.levels) {
-    if (src.stray_line != 0 && src.stray_line < level.line) break;
-    try {
-      append_level(net, level);
-    } catch (const std::invalid_argument& e) {
-      fail(level.line, e.what());
-    }
-  }
-  if (src.stray_line != 0) fail(src.stray_line, "expected 'level' or 'end'");
-  if (!src.terminated) fail(src.last_line, "missing 'end'");
+  ComparatorNetwork net(strict_width(src, SourceModel::Circuit, kText));
+  for (const SourceLevel& level : src.levels)
+    build_at(kText, level.line, [&] { append_level(net, level); });
   return net;
 }
 
@@ -101,40 +78,25 @@ ComparatorNetwork circuit_from_text(const std::string& text) {
 }
 
 RegisterNetwork register_from_source(const NetworkSource& src) {
-  if (src.header_line == 0)
-    throw std::invalid_argument("network text: empty input");
-  const auto width = declared_width(src, SourceModel::Register);
-  if (!width) fail(src.header_line, "expected 'register <width>'");
-  RegisterNetwork net(*width);
-  const std::size_t arity = *width / 2;
+  const wire_t width = strict_width(src, SourceModel::Register, kText);
+  RegisterNetwork net =
+      build_at(kText, src.header_line, [&] { return RegisterNetwork(width); });
+  const std::size_t arity = width / 2;
   for (const SourceStep& step : src.steps) {
-    if (src.stray_line != 0 && src.stray_line < step.line) break;
-    if (!step.kind_ok) fail(step.line, "expected 'shuffle' or 'perm'");
-    Permutation perm;
-    if (step.shuffle) {
-      perm = shuffle_permutation(*width);
-    } else {
-      if (!step.bad_entry.empty())
-        fail(step.line, "permutation entry '" + std::string(step.bad_entry) +
-                            "' is not an integer");
-      if (step.perm.size() < *width) fail(step.line, "short permutation");
-      try {
-        perm = Permutation(wire_image(step.perm, *width));
-      } catch (const std::invalid_argument& e) {
-        fail(step.line, e.what());
-      }
-    }
-    if (step.perm.size() > *width || !step.tail_ok ||
-        step.ops.size() != arity)
-      fail(step.line,
-           "expected '; ops <" + std::to_string(arity) + " symbols>'");
+    if (!step.shuffle && step.perm.size() < width)
+      fail_at(kText, step.line, "short permutation");
+    Permutation perm = build_at(kText, step.line, [&] {
+      return step.shuffle ? shuffle_permutation(width)
+                          : Permutation(wire_image(step.perm, width));
+    });
+    if (step.perm.size() > width || step.ops.size() != arity)
+      fail_at(kText, step.line,
+              "expected '; ops <" + std::to_string(arity) + " symbols>'");
     std::vector<GateOp> ops(arity);
     for (std::size_t k = 0; k < arity; ++k)
       ops[k] = register_op_from_char(step.ops[k], step.line);
     net.add_step(RegisterStep{std::move(perm), std::move(ops)});
   }
-  if (src.stray_line != 0) fail(src.stray_line, "expected 'step' or 'end'");
-  if (!src.terminated) fail(src.last_line, "missing 'end'");
   return net;
 }
 

@@ -12,7 +12,8 @@
 // {+,-,0,1}, one symbol per register pair. A step whose permutation is
 // the shuffle may be written "step shuffle ; ops <sym>*". Numbers are
 // unsigned decimal digits. Every network text is read by the one scanner
-// of core/source.hpp; the parsers here validate and build from its record.
+// of core/source.hpp; the parsers here throw its first issue, then build
+// from its record.
 //
 // Also provides Graphviz DOT export of circuits (wires as horizontal
 // rails, gates as labeled verticals) for inspection.
@@ -35,18 +36,16 @@ namespace shufflebound {
 /// experiments use (the largest is 2^16).
 inline constexpr wire_t kMaxTextWidth = wire_t{1} << 20;
 
-/// Throws std::invalid_argument naming kMaxTextWidth when `width`
-/// exceeds it; `format` ("circuit", ...) leads the message.
-void check_text_width(const char* format, wire_t width);
-
 std::string to_text(const ComparatorNetwork& net);
 std::string to_text(const RegisterNetwork& net);
 /// One "level <a><op><b> ..." line (no newline), shared by two formats.
 std::string to_text(const Level& level);
 
-/// Parses one format back. Throws std::invalid_argument with a line
-/// number on malformed input. The *_from_source forms validate and build
-/// from an already-scanned text.
+/// Parses one format back. Throws std::invalid_argument on malformed
+/// input: "network text line N: " and the scanner's first issue, or the
+/// model's own error numbered by the line that caused it ("network text:
+/// empty input" carries no line). The *_from_source forms build from an
+/// already-scanned text.
 ComparatorNetwork circuit_from_text(const std::string& text);
 RegisterNetwork register_from_text(const std::string& text);
 ComparatorNetwork circuit_from_source(const NetworkSource& src);

@@ -56,24 +56,28 @@ struct Tokens {
   }
 };
 
+/// `token` in single quotes, control bytes written as \xNN - a message
+/// must survive std::exception::what(), which ends at a NUL.
 std::string quoted(std::string_view token) {
   std::string out = "'";
-  out.append(token).push_back('\'');
+  for (const char c : token) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte != 0x7f) {
+      out.push_back(c);
+      continue;
+    }
+    constexpr char kHex[] = "0123456789abcdef";
+    out += "\\x";
+    out.push_back(kHex[byte >> 4]);
+    out.push_back(kHex[byte & 15]);
+  }
+  out.push_back('\'');
   return out;
 }
 
 void add_issue(NetworkSource& src, const char* rule, std::size_t line,
                std::string message, std::string hint = {}) {
   src.issues.push_back({line, rule, std::move(message), std::move(hint)});
-}
-
-/// Unsigned decimal digits only; rejects signs and partial parses like
-/// "1e", and numerals that overflow.
-bool parse_number(std::string_view token, long long& value) {
-  if (token.empty() || !std::all_of(token.begin(), token.end(), is_digit))
-    return false;
-  return std::from_chars(token.data(), token.data() + token.size(), value)
-             .ec == std::errc{};
 }
 
 /// Parses the payload of a '# lint: ...' comment directive.
@@ -104,7 +108,7 @@ void parse_directive(NetworkSource& src, std::size_t line_no,
                             "supported directives: expect-depth=<levels>, "
                             "expect-redundant=<comparators>",
                             true});
-    } else if (parse_number(token.substr(eq + 1), value)) {
+    } else if (parse_decimal(token.substr(eq + 1), value)) {
       known->value = value;
       known->line = line_no;
     } else {
@@ -153,8 +157,8 @@ SourceGate scan_gate(NetworkSource& src, std::size_t line_no,
   const auto op_pos = static_cast<std::size_t>(
       std::find_if(token.begin(), token.end(), is_op) - token.begin());
   if (op_pos == 0 || op_pos + 1 >= token.size() ||
-      !parse_number(token.substr(0, op_pos), gate.a) ||
-      !parse_number(token.substr(op_pos + 1), gate.b)) {
+      !parse_decimal(token.substr(0, op_pos), gate.a) ||
+      !parse_decimal(token.substr(op_pos + 1), gate.b)) {
     add_issue(src, "syntax-gate", line_no,
               "malformed gate " + quoted(token),
               "gates are written <wire><op><wire> with op one of + - x, "
@@ -177,24 +181,22 @@ SourceLevel scan_level(NetworkSource& src, std::size_t line_no,
 }
 
 /// Numbers up to the end of the line (or up to a ';' token when `stop`
-/// is ";"), remembering the first token that is not one. Returns the last
+/// is ";"); each token that is not one is an issue. Returns the last
 /// token read, `word` if there was none.
 std::string_view scan_numbers(NetworkSource& src, std::size_t line_no,
                               Tokens& tokens, std::string_view word,
                               std::string_view stop, const char* rule,
                               const char* what,
-                              std::vector<long long>& values,
-                              std::string_view& bad) {
+                              std::vector<long long>& values) {
   while (tokens.next(word) && word != stop) {
     long long value = 0;
-    if (parse_number(word, value)) {
+    if (parse_decimal(word, value)) {
       values.push_back(value);
       continue;
     }
     add_issue(src, rule, line_no,
               std::string(what) + " entry " + quoted(word) +
                   " is not an integer");
-    if (bad.empty()) bad = word;
   }
   return word;
 }
@@ -211,7 +213,6 @@ void scan_circuit_body(NetworkSource& src,
     if (word != "level") {
       add_issue(src, "syntax-line", line.number,
                 "expected 'level' or 'end', got " + quoted(word));
-      if (src.stray_line == 0) src.stray_line = line.number;
       continue;
     }
     src.levels.push_back(scan_level(src, line.number, tokens));
@@ -230,19 +231,18 @@ void scan_register_body(NetworkSource& src,
     if (word != "step") {
       add_issue(src, "syntax-line", line.number,
                 "expected 'step' or 'end', got " + quoted(word));
-      if (src.stray_line == 0) src.stray_line = line.number;
       continue;
     }
     SourceStep& step = src.steps.emplace_back();
     step.line = line.number;
+    const std::size_t issues_before = src.issues.size();
     tokens.next(word);
     if (word == "shuffle") {
-      step.kind_ok = step.shuffle = true;
+      step.shuffle = true;
       tokens.next(word);  // expect ';'
     } else if (word == "perm") {
-      step.kind_ok = true;
       word = scan_numbers(src, line.number, tokens, word, ";", "syntax-step",
-                          "permutation", step.perm, step.bad_entry);
+                          "permutation", step.perm);
     } else {
       add_issue(src, "syntax-step", line.number,
                 "expected 'shuffle' or 'perm' after 'step', got " +
@@ -250,13 +250,13 @@ void scan_register_body(NetworkSource& src,
       continue;
     }
     std::string_view ops_word;
-    step.tail_ok = word == ";" && tokens.next(ops_word) &&
-                   ops_word == "ops" && tokens.next(step.ops);
-    if (!step.tail_ok)
+    if (word != ";" || !tokens.next(ops_word) || ops_word != "ops" ||
+        !tokens.next(step.ops))
       add_issue(src, "syntax-step", line.number,
                 "expected '; ops <symbols>' after the step permutation",
                 "a step is 'step shuffle ; ops <n/2 symbols>' or "
                 "'step perm <image> ; ops <n/2 symbols>'");
+    step.syntax_ok = src.issues.size() == issues_before;
   }
 }
 
@@ -267,11 +267,10 @@ void scan_stage_line(NetworkSource& src, std::size_t line_no,
   const std::string_view perm_word = tokens.next();
   if (perm_word != "perm") {
     add_issue(src, "syntax-stage", line_no,
-              "expected 'stage perm ...', got 'stage " +
-                  std::string(perm_word) + "'");
+              "expected 'stage perm ...', got " +
+                  quoted("stage " + std::string(perm_word)));
     return;
   }
-  stage.perm_ok = true;
   Tokens peek = tokens;
   const std::string_view first = peek.next();
   if (first.empty()) {
@@ -282,30 +281,32 @@ void scan_stage_line(NetworkSource& src, std::size_t line_no,
     stage.identity = true;
   } else {
     scan_numbers(src, line_no, tokens, {}, {}, "syntax-stage", "permutation",
-                 stage.perm, stage.bad_entry);
+                 stage.perm);
   }
 }
 
+/// A 'tree' line of `stage`; `first_line` is the stage's first inner line.
 void scan_tree_line(NetworkSource& src, SourceStage& stage,
-                    std::size_t line_no, Tokens& tokens) {
+                    std::size_t first_line, std::size_t line_no,
+                    Tokens& tokens) {
   if (stage.tree_line != 0) {
     add_issue(src, "syntax-stage", line_no,
               "stage already declares its tree on line " +
                   std::to_string(stage.tree_line));
-    if (stage.stray_line == 0) stage.stray_line = line_no;
     return;
   }
-  if (line_no != stage.first_line)
+  if (line_no != first_line)
     add_issue(src, "syntax-stage", line_no,
               "'tree' must directly follow its 'stage' line");
   stage.tree_line = line_no;
   scan_numbers(src, line_no, tokens, {}, {}, "syntax-stage", "tree",
-               stage.tree, stage.bad_tree_entry);
+               stage.tree);
 }
 
 void scan_iterated_body(NetworkSource& src,
                         std::span<const LogicalLine> lines) {
   SourceStage* stage = nullptr;
+  std::size_t first_line = 0;  // the open stage's first inner line
   for (const LogicalLine& line : lines) {
     Tokens tokens{line.text};
     const std::string_view word = tokens.next();
@@ -317,14 +318,14 @@ void scan_iterated_body(NetworkSource& src,
       if (word != "stage") {
         add_issue(src, "syntax-stage", line.number,
                   "expected 'stage' or 'end', got " + quoted(word));
-        if (src.stray_line == 0) src.stray_line = line.number;
         continue;
       }
       scan_stage_line(src, line.number, tokens);
       stage = &src.stages.back();
+      first_line = 0;
       continue;
     }
-    if (stage->first_line == 0) stage->first_line = line.number;
+    if (first_line == 0) first_line = line.number;
     if (word == "end") {
       add_issue(src, "syntax-stage", line.number,
                 "stage is missing 'endstage' before 'end'");
@@ -335,14 +336,13 @@ void scan_iterated_body(NetworkSource& src,
       stage->closed = true;
       stage = nullptr;
     } else if (word == "tree") {
-      scan_tree_line(src, *stage, line.number, tokens);
+      scan_tree_line(src, *stage, first_line, line.number, tokens);
     } else if (word == "level") {
       stage->levels.push_back(scan_level(src, line.number, tokens));
     } else {
       add_issue(src, "syntax-stage", line.number,
                 "expected 'tree', 'level' or 'endstage', got " +
                     quoted(word));
-      if (stage->stray_line == 0) stage->stray_line = line.number;
     }
   }
 }
@@ -359,6 +359,13 @@ constexpr ModelSyntax kModels[] = {
     {"iterated", SourceModel::Iterated, scan_iterated_body}};
 
 }  // namespace
+
+bool parse_decimal(std::string_view token, long long& value) {
+  if (token.empty() || !std::all_of(token.begin(), token.end(), is_digit))
+    return false;
+  return std::from_chars(token.data(), token.data() + token.size(), value)
+             .ec == std::errc{};
+}
 
 const char* source_model_name(SourceModel model) noexcept {
   for (const ModelSyntax& syntax : kModels)
@@ -388,11 +395,11 @@ NetworkSource scan_network_text(std::string_view text) {
     return src;
   }
   src.model = syntax->model;
-  if (!parse_number(width_token, src.width)) {
+  if (!parse_decimal(width_token, src.width)) {
     src.width = 0;
     add_issue(src, "syntax-header", header.number,
-              "expected '" + std::string(keyword) + " <width>', got '" +
-                  std::string(header.text) + "'");
+              "expected '" + std::string(keyword) + " <width>', got " +
+                  quoted(header.text));
   } else {
     syntax->scan_body(src, std::span(lines).subspan(1));
     if (!src.terminated) {
@@ -418,14 +425,29 @@ NetworkSource scan_network_text(std::string_view text) {
   return src;
 }
 
-std::optional<wire_t> declared_width(const NetworkSource& src,
-                                    SourceModel model) {
-  if (src.model != model || src.width == 0 ||
-      src.width > std::numeric_limits<wire_t>::max())
-    return std::nullopt;
-  const auto width = static_cast<wire_t>(src.width);
-  check_text_width(source_model_name(model), width);
-  return width;
+void fail_at(const char* prefix, std::size_t line, const std::string& what) {
+  std::string message = prefix;
+  if (line != 0) message += " line " + std::to_string(line);
+  throw std::invalid_argument(message + ": " + what);
+}
+
+const SourceIssue* first_issue(const NetworkSource& src) {
+  const SourceIssue* first = nullptr;
+  for (const SourceIssue& issue : src.issues)
+    if (!issue.warning && (first == nullptr || issue.line < first->line))
+      first = &issue;
+  return first;
+}
+
+wire_t strict_width(const NetworkSource& src, SourceModel model,
+                    const char* prefix) {
+  if (src.header_line != 0 && src.model != model)
+    fail_at(prefix, src.header_line,
+            "expected '" + std::string(source_model_name(model)) +
+                " <width>'");
+  if (const SourceIssue* issue = first_issue(src))
+    fail_at(prefix, issue->line, issue->message);
+  return static_cast<wire_t>(src.width);
 }
 
 std::vector<wire_t> wire_image(const std::vector<long long>& entries,

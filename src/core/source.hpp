@@ -1,10 +1,11 @@
 // The one front end for network text: a zero-copy scanner over all three
 // formats (core/io.hpp, networks/rdn_io.hpp). It records what was written,
-// including unparsable tokens and out-of-range indices; the strict
-// builders (*_from_source) validate that record and throw at the first
-// problem, and the linter runs its rule pass over it. Numbers are unsigned
-// decimal digits only. The declared width is checked against
-// kMaxTextWidth here, once, before anything downstream allocates by it.
+// including unparsable tokens and out-of-range indices, and words every
+// syntax problem as an issue. The strict builders (*_from_source) throw
+// the first issue, then build the model from the record; the linter runs
+// its rule pass over it. Numbers are unsigned decimal digits only. The
+// declared width is checked against kMaxTextWidth here, once, before
+// anything downstream allocates by it.
 //
 // Comments may carry lint directives: `# lint: expect-depth=<d>` declares
 // the depth the author intends, letting the depth-mismatch rule compare
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +28,10 @@ enum class SourceModel : std::uint8_t { Unknown, Circuit, Register, Iterated };
 /// Wire name of a source model ("circuit", "register", "iterated",
 /// "unknown").
 const char* source_model_name(SourceModel model) noexcept;
+
+/// A number as network text writes it: unsigned decimal digits only, no
+/// sign, no partial parse like "1e", no overflow of `value`.
+bool parse_decimal(std::string_view token, long long& value);
 
 /// A syntax finding of the scanner, worded as a lint diagnostic. `rule`
 /// is a stable lint rule id (docs/lint.md).
@@ -58,28 +64,21 @@ struct SourceLevel {
 /// (possibly the wrong number of them).
 struct SourceStep {
   std::size_t line = 0;
-  bool kind_ok = false;  // 'shuffle' or 'perm' follows 'step'
+  bool syntax_ok = false;  // the line raised no syntax-step issue
   bool shuffle = false;
   std::vector<long long> perm;
-  std::string_view bad_entry;  // first permutation entry that is no number
-  bool tail_ok = false;        // '; ops <symbols>' follows
   std::string_view ops;
 };
 
 /// One iterated-RDN stage as written.
 struct SourceStage {
-  std::size_t line = 0;     // the 'stage' line
-  bool perm_ok = false;     // the line reads 'stage perm ...'
+  std::size_t line = 0;  // the 'stage' line
   bool identity = false;
   std::vector<long long> perm;
-  std::string_view bad_entry;  // first permutation entry that is no number
-  std::size_t first_line = 0;  // first line inside the stage (0 = none)
-  std::size_t tree_line = 0;   // 0 = no tree line
+  std::size_t tree_line = 0;  // 0 = no tree line
   std::vector<long long> tree;
-  std::string_view bad_tree_entry;
   std::vector<SourceLevel> levels;
-  std::size_t stray_line = 0;  // first line inside that fits no production
-  bool closed = false;         // saw 'endstage'
+  bool closed = false;  // saw 'endstage'
 };
 
 struct NetworkSource {
@@ -89,8 +88,6 @@ struct NetworkSource {
   std::size_t header_line = 0;
   bool terminated = false;    // saw the final 'end'
   std::size_t last_line = 0;  // last logical (non-empty) line seen
-  /// First body line outside any stage that fits no production (0 = none).
-  std::size_t stray_line = 0;
   std::optional<long long> expect_depth;  // '# lint: expect-depth=<d>'
   std::size_t expect_depth_line = 0;
   /// '# lint: expect-redundant=<k>' - the number of comparators the
@@ -112,11 +109,33 @@ struct NetworkSource {
 /// continues on a best-effort basis.
 NetworkSource scan_network_text(std::string_view text);
 
-/// The width a strict builder reads from `src` as `model`: nullopt unless
-/// the header declares that model with a positive width that fits a
-/// wire_t; throws check_text_width's error past kMaxTextWidth.
-std::optional<wire_t> declared_width(const NetworkSource& src,
-                                     SourceModel model);
+/// Throws std::invalid_argument "<prefix> line N: <what>", or
+/// "<prefix>: <what>" when `line` is 0. The strict builders' prefix is
+/// "network text" or "iterated network text".
+[[noreturn]] void fail_at(const char* prefix, std::size_t line,
+                          const std::string& what);
+
+/// Calls `build` and numbers a std::invalid_argument it throws (a model
+/// error, in the model's own words) by `line`, the record that caused it.
+template <typename F>
+auto build_at(const char* prefix, std::size_t line, F&& build) {
+  try {
+    return build();
+  } catch (const std::invalid_argument& e) {
+    fail_at(prefix, line, e.what());
+  }
+}
+
+/// The scanner's first error issue - the smallest line, in scan order -
+/// or null when there is none.
+const SourceIssue* first_issue(const NetworkSource& src);
+
+/// The strict builders' front check: rejects text that declares another
+/// model than `model` with "expected '<model> <width>'" at its header,
+/// then throws the first issue. Returns the declared width, which is
+/// then in 1..kMaxTextWidth.
+wire_t strict_width(const NetworkSource& src, SourceModel model,
+                    const char* prefix);
 
 /// The first `width` scanned entries of a permutation or leaf order as
 /// wire indices. Entries that do not fit a wire_t saturate, so the model

@@ -314,8 +314,7 @@ void check_register(LintReport& report, const NetworkSource& src) {
   for (std::size_t i = 0; i < src.steps.size(); ++i) {
     const SourceStep& step = src.steps[i];
     const std::size_t unit = i + 1;
-    if (!step.kind_ok || !step.bad_entry.empty() || !step.tail_ok)
-      continue;  // syntax-step already reported
+    if (!step.syntax_ok) continue;  // syntax-step already reported
     if (step.shuffle && !pow2) {
       emit(report, LintSeverity::Error, "width-not-pow2", step.line, unit,
            "'step shuffle' requires a power-of-two width, got " +

@@ -242,6 +242,11 @@ void IteratedRdn::add_stage(Stage stage) {
   stages_.push_back(std::move(stage));
 }
 
+IteratedRdn::IteratedRdn(wire_t width) : width_(width) {
+  if (!is_pow2(width))
+    throw std::invalid_argument("IteratedRdn: width must be 2^l");
+}
+
 FlattenedNetwork IteratedRdn::flatten() const {
   ComparatorNetwork out(width_);
   // wire_of[slot] = flattened circuit wire currently at this slot.

@@ -127,7 +127,8 @@ class IteratedRdn {
   };
 
   IteratedRdn() = default;
-  explicit IteratedRdn(wire_t width) : width_(width) {}
+  /// Throws std::invalid_argument unless `width` is a power of two.
+  explicit IteratedRdn(wire_t width);
 
   wire_t width() const noexcept { return width_; }
   const std::vector<Stage>& stages() const noexcept { return stages_; }

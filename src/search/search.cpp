@@ -575,6 +575,7 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
 std::vector<FrontierNode> prefix_frontier(
     const LevelSpace& space, SearchStats& stats,
     std::optional<std::vector<std::uint32_t>>& shallow) {
+  SB_OBS_SPAN("search", "prefixes");
   const wire_t n = space.width();
   shallow.reset();
   OutputSet s0 = OutputSet::full(n);

@@ -86,7 +86,8 @@ std::shared_ptr<const CompiledNetwork> plain_compiled(const ParsedNetwork& net,
 // ---------------------------------------------------------------- info --
 
 JsonValue info_payload(const ParsedNetwork& net) {
-  const NetworkStats stats = network_stats(net.circuit);
+  const NetworkStats stats = net.visit_circuit(
+      [](const ComparatorNetwork& circuit) { return network_stats(circuit); });
   JsonValue payload = JsonValue::object();
   payload.set("model", net.model_name());
   payload.set("width", stats.width);
@@ -94,9 +95,10 @@ JsonValue info_payload(const ParsedNetwork& net) {
   payload.set("comparators", static_cast<std::uint64_t>(stats.comparators));
   payload.set("exchanges", static_cast<std::uint64_t>(stats.exchanges));
   payload.set("empty_levels", static_cast<std::uint64_t>(stats.empty_levels));
-  if (!net.register_form && !net.iterated_form && is_pow2(stats.width) &&
+  const auto* circuit = std::get_if<ComparatorNetwork>(&net.model);
+  if (circuit != nullptr && is_pow2(stats.width) &&
       stats.depth == log2_exact(stats.width)) {
-    payload.set("rdn_recognized", recognize_rdn(net.circuit).has_value());
+    payload.set("rdn_recognized", recognize_rdn(*circuit).has_value());
   }
   return payload;
 }
@@ -155,35 +157,6 @@ std::string hex_u128(std::pair<std::uint64_t, std::uint64_t> value) {
                 static_cast<unsigned long long>(value.first),
                 static_cast<unsigned long long>(value.second));
   return buf;
-}
-
-/// Static order-relation analysis (analyze/analyzer.hpp) on the
-/// flattened circuit form. Pure structure - no input evaluated, no
-/// seed - so the payload is a deterministic function of the network
-/// text and caches under the params hash like every other kind.
-JsonValue analyze_payload(const ParsedNetwork& net) {
-  const AnalyzeReport report = analyze(net.circuit);
-  JsonValue payload = JsonValue::object();
-  payload.set("verdict", analyze_verdict_name(report.verdict));
-  payload.set("width", report.width);
-  payload.set("levels", static_cast<std::uint64_t>(report.levels));
-  payload.set("comparators", static_cast<std::uint64_t>(report.comparators));
-  if (report.verdict == AnalyzeVerdict::CertifiedUpToRelabel)
-    payload.set("relabel_ranks", wires_to_json(report.relabel_ranks));
-  payload.set("redundant",
-              static_cast<std::uint64_t>(report.redundant_count()));
-  payload.set("always_exchange",
-              static_cast<std::uint64_t>(report.always_exchange_count()));
-  payload.set("dead_levels",
-              static_cast<std::uint64_t>(report.dead_levels.size()));
-  payload.set("untouched_slots",
-              static_cast<std::uint64_t>(report.untouched_slots.size()));
-  payload.set("relation_pairs",
-              static_cast<std::uint64_t>(report.relation_pairs));
-  payload.set("relation_fingerprint", hex_u128(report.relation_fingerprint));
-  payload.set("subsumption_fingerprint",
-              hex_u128(report.subsumption_fingerprint));
-  return payload;
 }
 
 // -------------------------------------------------------- count-sorted --
@@ -444,12 +417,16 @@ void execute_step(ProbedJob& job, Clock::time_point deadline,
         // elimination pass), so it shares the plain-salt table with
         // count-sorted; circuit certification compiles the eliminated
         // form and keys under the certify salt.
-        result.payload =
-            net->register_form
-                ? certify_payload(*net->register_form, deadline, arena,
-                                  arena_key_of(*net, kArenaSaltPlain))
-                : certify_payload(net->circuit, deadline, arena,
-                                  arena_key_of(*net, kArenaSaltCertify));
+        if (const auto* reg = std::get_if<RegisterNetwork>(&net->model)) {
+          result.payload = certify_payload(
+              *reg, deadline, arena, arena_key_of(*net, kArenaSaltPlain));
+        } else {
+          result.payload =
+              net->visit_circuit([&](const ComparatorNetwork& circuit) {
+                return certify_payload(circuit, deadline, arena,
+                                       arena_key_of(*net, kArenaSaltCertify));
+              });
+        }
         break;
       case JobKind::Refute:
         result.payload = refute_payload(*net, spec, deadline);
@@ -458,7 +435,10 @@ void execute_step(ProbedJob& job, Clock::time_point deadline,
         result.payload = count_sorted_payload(*net, spec, deadline, arena);
         break;
       case JobKind::Analyze:
-        result.payload = analyze_payload(*net);
+        // Static order-relation analysis of the circuit form: pure
+        // structure, no input or seed, so the payload caches like any.
+        result.payload = analyze_payload(net->visit_circuit(
+            [](const ComparatorNetwork& circuit) { return analyze(circuit); }));
         break;
       case JobKind::Lint: {
         // A dirty report fails the job but still carries its diagnostics.
@@ -492,6 +472,30 @@ void execute_step(ProbedJob& job, Clock::time_point deadline,
 }
 
 }  // namespace
+
+JsonValue analyze_payload(const AnalyzeReport& report) {
+  JsonValue payload = JsonValue::object();
+  payload.set("verdict", analyze_verdict_name(report.verdict));
+  payload.set("width", report.width);
+  payload.set("levels", static_cast<std::uint64_t>(report.levels));
+  payload.set("comparators", static_cast<std::uint64_t>(report.comparators));
+  if (report.verdict == AnalyzeVerdict::CertifiedUpToRelabel)
+    payload.set("relabel_ranks", wires_to_json(report.relabel_ranks));
+  payload.set("redundant",
+              static_cast<std::uint64_t>(report.redundant_count()));
+  payload.set("always_exchange",
+              static_cast<std::uint64_t>(report.always_exchange_count()));
+  payload.set("dead_levels",
+              static_cast<std::uint64_t>(report.dead_levels.size()));
+  payload.set("untouched_slots",
+              static_cast<std::uint64_t>(report.untouched_slots.size()));
+  payload.set("relation_pairs",
+              static_cast<std::uint64_t>(report.relation_pairs));
+  payload.set("relation_fingerprint", hex_u128(report.relation_fingerprint));
+  payload.set("subsumption_fingerprint",
+              hex_u128(report.subsumption_fingerprint));
+  return payload;
+}
 
 CacheKey AnalysisEngine::cache_key(const JobSpec& spec,
                                    const ParsedNetwork& net) {

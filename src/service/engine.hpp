@@ -58,6 +58,11 @@
 namespace shufflebound {
 
 class CompilationArena;
+struct AnalyzeReport;
+
+/// The "analyze" job payload of a report: the verdict and the counts and
+/// fingerprints of its findings (`analyze --json` adds the findings).
+JsonValue analyze_payload(const AnalyzeReport& report);
 
 /// A job between its two steps. The probe step fills it: `result` when
 /// the probe answered the job (invalid spec, unparseable network, cache

@@ -25,30 +25,23 @@ const char* job_kind_name(JobKind kind) noexcept {
 }
 
 const char* ParsedNetwork::model_name() const noexcept {
-  if (iterated_form) return "iterated";
-  if (register_form)
-    return register_form->is_shuffle_based() ? "register-shuffle" : "register";
+  if (std::holds_alternative<IteratedRdn>(model)) return "iterated";
+  if (const auto* reg = std::get_if<RegisterNetwork>(&model))
+    return reg->is_shuffle_based() ? "register-shuffle" : "register";
   return "circuit";
 }
 
 ParsedNetwork parse_any_network(const std::string& text) {
   const NetworkSource src = scan_network_text(text);
-  if (src.header_line == 0) throw std::invalid_argument("empty network text");
   switch (src.model) {
-    case SourceModel::Register: {
-      RegisterNetwork reg = register_from_source(src);
-      ComparatorNetwork circuit = register_to_circuit(reg).circuit;
-      return ParsedNetwork{std::move(circuit), std::move(reg), std::nullopt};
-    }
-    case SourceModel::Iterated: {
-      IteratedRdn rdn = iterated_from_source(src);
-      ComparatorNetwork circuit = rdn.flatten().circuit;
-      return ParsedNetwork{std::move(circuit), std::nullopt, std::move(rdn)};
-    }
-    default:
-      return ParsedNetwork{circuit_from_source(src), std::nullopt,
-                           std::nullopt};
+    case SourceModel::Circuit: return {circuit_from_source(src)};
+    case SourceModel::Register: return {register_from_source(src)};
+    case SourceModel::Iterated: return {iterated_from_source(src)};
+    case SourceModel::Unknown: break;
   }
+  // No model declared: the scanner always words that as an issue.
+  const SourceIssue& issue = *first_issue(src);
+  fail_at("network text", issue.line, issue.message);
 }
 
 namespace {

@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "core/comparator_network.hpp"
 #include "core/register_network.hpp"
@@ -103,29 +105,36 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number);
 /// Parses one JSONL job line: job_from_json(JobLine(line), line_number).
 JobSpec job_from_json_line(const std::string& line, std::uint64_t line_number);
 
-/// A network parsed from text into whichever model the file declared,
-/// always carrying the flattened circuit form.
+/// A network parsed from text: exactly the model the text declared.
 struct ParsedNetwork {
-  ComparatorNetwork circuit;
-  std::optional<RegisterNetwork> register_form;
-  std::optional<IteratedRdn> iterated_form;
+  std::variant<ComparatorNetwork, RegisterNetwork, IteratedRdn> model;
 
+  /// "circuit", "register", "register-shuffle" or "iterated".
   const char* model_name() const noexcept;
 
-  /// Calls `f` with the network in its own model: the iterated or
-  /// register form when the text declared one, else the circuit.
+  /// Calls `f` with the network in its own model.
   template <typename F>
   auto visit(F&& f) const {
-    if (iterated_form) return f(*iterated_form);
-    if (register_form) return f(*register_form);
-    return f(circuit);
+    return std::visit(std::forward<F>(f), model);
+  }
+
+  /// Calls `f` with the network as a circuit: a circuit as parsed, a
+  /// register or iterated network flattened for this call only - the
+  /// kinds that read a circuit pay for it, no other kind does.
+  template <typename F>
+  auto visit_circuit(F&& f) const {
+    if (const auto* reg = std::get_if<RegisterNetwork>(&model))
+      return f(register_to_circuit(*reg).circuit);
+    if (const auto* rdn = std::get_if<IteratedRdn>(&model))
+      return f(rdn->flatten().circuit);
+    return f(std::get<ComparatorNetwork>(model));
   }
 };
 
 /// Parses any of the three text formats: one scan (core/source.hpp),
 /// then the builder for the model its header declares ("circuit",
 /// "register", "iterated"). Throws std::invalid_argument on malformed
-/// text.
+/// text, worded as the strict builders word it.
 ParsedNetwork parse_any_network(const std::string& text);
 
 struct JobResult {

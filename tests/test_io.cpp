@@ -69,28 +69,64 @@ TEST(CircuitText, ParseErrorsCarryLineNumbers) {
   expect_error("nonsense 4\nend\n", "expected 'circuit <width>'");
 }
 
-// The malformed-fixture corpus (shared with test_lint): the strict parser
-// must reject each file and point at the exact 1-based source line.
+// The malformed-fixture corpus (shared with test_lint), plus inline texts
+// for the errors the scanner or the model builders raise: the strict
+// parser of the declared model must reject each text and point at the
+// exact 1-based source line.
 TEST(CircuitText, FixtureParseErrorsPointAtTheRightLine) {
+  constexpr auto kCircuit = SourceModel::Circuit;
+  constexpr auto kRegister = SourceModel::Register;
+  constexpr auto kIterated = SourceModel::Iterated;
   const struct {
-    const char* file;
+    const char* file;  // a fixture, or the name of an inline text
     const char* line_tag;
-    bool iterated;
+    SourceModel model;
+    const char* text = nullptr;  // inline text instead of the fixture
   } cases[] = {
-      {"bad_wire_index.txt", "network text line 4", false},
-      {"level_conflict.txt", "network text line 3", false},
-      {"gate_self_loop.txt", "network text line 4", false},
-      {"truncated.txt", "network text line 4", false},  // last content line
-      {"iterated_bad_wire.txt", "iterated network text line 7", true},
+      {"bad_wire_index.txt", "network text line 4", kCircuit},
+      {"level_conflict.txt", "network text line 3", kCircuit},
+      {"gate_self_loop.txt", "network text line 4", kCircuit},
+      {"truncated.txt", "network text line 4", kCircuit},  // last content line
+      {"iterated_bad_wire.txt", "iterated network text line 7", kIterated},
       // A stage that is no RDN is numbered by its first level line.
-      {"iterated_nonconforming.txt", "iterated network text line 7", true},
+      {"iterated_nonconforming.txt", "iterated network text line 7",
+       kIterated},
+      {"short stage permutation", "iterated network text line 2", kIterated,
+       "iterated 4\nstage perm 0 1 2\ntree 0 1 2 3\nlevel 0+1 2+3\n"
+       "level 0+2 1+3\nendstage\nend\n"},
+      {"stage without tree", "iterated network text line 2", kIterated,
+       "iterated 4\nstage perm identity\nlevel 0+1 2+3\nlevel 0+2 1+3\n"
+       "endstage\nend\n"},
+      {"end inside a stage", "iterated network text line 6", kIterated,
+       "iterated 4\nstage perm identity\ntree 0 1 2 3\nlevel 0+1 2+3\n"
+       "level 0+2 1+3\nend\n"},
+      {"no final end", "iterated network text line 6", kIterated,
+       "iterated 4\nstage perm identity\ntree 0 1 2 3\nlevel 0+1 2+3\n"
+       "level 0+2 1+3\nendstage\n"},
+      {"stray line inside a stage", "iterated network text line 5",
+       kIterated,
+       "iterated 4\nstage perm identity\ntree 0 1 2 3\nlevel 0+1 2+3\n"
+       "bogus\nlevel 0+2 1+3\nendstage\nend\n"},
+      {"bare stage", "iterated network text line 2", kIterated,
+       "iterated 4\nstage\ntree 0 1 2 3\nlevel 0+1 2+3\nlevel 0+2 1+3\n"
+       "endstage\nend\n"},
+      {"iterated width 6", "iterated network text line 1", kIterated,
+       "iterated 6\nstage perm identity\ntree 0 1 2 3 4 5\nendstage\nend\n"},
+      {"register width 3", "network text line 1", kRegister,
+       "register 3\nend\n"},
+      {"circuit width 0",
+       "network text line 1: declared width 0 is not a positive wire count",
+       kCircuit, "circuit 0\nend\n"},
   };
   for (const auto& c : cases) {
+    const std::string text = c.text != nullptr ? c.text : fixture(c.file);
     try {
-      if (c.iterated) {
-        iterated_from_text(fixture(c.file));
+      if (c.model == kIterated) {
+        iterated_from_text(text);
+      } else if (c.model == kRegister) {
+        register_from_text(text);
       } else {
-        circuit_from_text(fixture(c.file));
+        circuit_from_text(text);
       }
       FAIL() << c.file << " parsed unexpectedly";
     } catch (const std::invalid_argument& e) {

@@ -395,5 +395,24 @@ TEST_F(ObsTest, SearchSpansEachBfsLevel) {
   EXPECT_EQ(subsume, 2u);
 }
 
+// The phase spans account for a search: prefix generation plus every BFS
+// level's expand, dedup and subsume cover at least 90% of find_min_depth
+// (the rest is set-up and witness certification).
+TEST_F(ObsTest, SearchPhaseSpansCoverTheSearch) {
+  obs::set_enabled(true);
+  const SearchResult result = find_min_depth_network(9);
+  ASSERT_EQ(result.status, SearchStatus::Optimal);
+  std::uint64_t total_us = 0;
+  std::uint64_t phases_us = 0;
+  for (const obs::SpanRecord& s : obs::registry().snapshot_spans()) {
+    if (std::string(s.cat) != "search") continue;
+    (std::string(s.name) == "find_min_depth" ? total_us : phases_us) +=
+        s.dur_us;
+  }
+  ASSERT_GT(total_us, 0u);
+  EXPECT_GE(phases_us * 10, total_us * 9)
+      << phases_us << " of " << total_us << " us";
+}
+
 }  // namespace
 }  // namespace shufflebound

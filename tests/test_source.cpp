@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/io.hpp"
@@ -22,21 +25,28 @@
 namespace shufflebound {
 namespace {
 
-bool strict_accepts(const std::string& text) {
+/// The strict parse's error message, or nullopt when it accepts `text`.
+std::optional<std::string> strict_error(const std::string& text) {
   try {
     (void)parse_any_network(text);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
+    return std::nullopt;
+  } catch (const std::invalid_argument& e) {
+    return e.what();
   }
 }
 
-bool has_syntax_finding(const LintReport& report) {
+/// The report's first syntax, missing-end or width-invalid finding (the
+/// report is sorted by line), or null.
+const Diagnostic* first_syntax_finding(const LintReport& report) {
   for (const Diagnostic& d : report.diagnostics)
     if (d.rule.starts_with("syntax-") || d.rule == "missing-end" ||
         d.rule == "width-invalid")
-      return true;
-  return false;
+      return &d;
+  return nullptr;
+}
+
+bool has_syntax_finding(const LintReport& report) {
+  return first_syntax_finding(report) != nullptr;
 }
 
 std::vector<std::string> corpus_dir(const std::filesystem::path& dir) {
@@ -49,6 +59,29 @@ std::vector<std::string> corpus_dir(const std::filesystem::path& dir) {
     texts.push_back(buf.str());
   }
   return texts;
+}
+
+/// The fixtures and the fuzz seeds.
+std::vector<std::string> fixture_texts() {
+  const std::filesystem::path data(SB_TEST_DATA_DIR);
+  std::vector<std::string> texts = corpus_dir(data);
+  for (const std::string& seed : corpus_dir(data / "fuzz_seeds"))
+    texts.push_back(seed);
+  return texts;
+}
+
+/// One generated network per model and shape (`rng` draws the random
+/// ones).
+std::vector<std::string> generated_texts(Prng& rng) {
+  return {
+      to_text(bitonic_sorting_network(8)),
+      to_text(random_shuffle_network(8, 5, rng, {10, 5})),
+      to_text(shuffle_to_iterated_rdn(
+          random_shuffle_network(8, 6, rng, {10, 5}))),
+      to_text(make_iterated_rdn(
+          4, 2, [&](std::size_t) { return random_rdn(2, rng, 0, 5); },
+          [&](std::size_t) { return random_permutation(4, rng); })),
+  };
 }
 
 /// One edit of `text`: a byte deletion or insertion, a swap of two
@@ -89,45 +122,89 @@ std::string mutate(std::string text, Prng& rng) {
 }
 
 // The strict parse rejects every text the linter finds a syntax,
-// missing-end or width-invalid problem in, and accepts every text the
-// linter finds no error in: over the fixtures, the fuzz seeds and a
-// mutation set in all three formats, the two front ends speak one
-// language.
+// missing-end or width-invalid problem in - with that finding's own
+// message at its line - and accepts every text the linter finds no error
+// in: over the fixtures, the fuzz seeds and a mutation set in all three
+// formats, the two front ends speak one language. Every strict rejection
+// but empty input names its line.
 TEST(Source, StrictParseAgreesWithLintSyntax) {
-  const std::filesystem::path data(SB_TEST_DATA_DIR);
-  std::vector<std::string> texts = corpus_dir(data);
-  for (const std::string& seed : corpus_dir(data / "fuzz_seeds"))
-    texts.push_back(seed);
+  std::vector<std::string> texts = fixture_texts();
   Prng rng(16);
-  const std::vector<std::string> generated = {
-      to_text(bitonic_sorting_network(8)),
-      to_text(random_shuffle_network(8, 5, rng, {10, 5})),
-      to_text(shuffle_to_iterated_rdn(
-          random_shuffle_network(8, 6, rng, {10, 5}))),
-      to_text(make_iterated_rdn(
-          4, 2, [&](std::size_t) { return random_rdn(2, rng, 0, 5); },
-          [&](std::size_t) { return random_permutation(4, rng); })),
-  };
-  for (const std::string& text : generated) {
+  for (const std::string& text : generated_texts(rng)) {
     texts.push_back(text);
     for (int k = 0; k < 150; ++k) texts.push_back(mutate(text, rng));
   }
 
+  const std::regex names_line(" line [0-9]+: ");
   std::size_t rejected_for_syntax = 0, accepted_clean = 0;
   for (const std::string& text : texts) {
     SCOPED_TRACE(text);
     const LintReport report = lint_network_text(text);
-    const bool accepted = strict_accepts(text);
-    if (has_syntax_finding(report)) {
-      EXPECT_FALSE(accepted);
+    const std::optional<std::string> error = strict_error(text);
+    if (const Diagnostic* finding = first_syntax_finding(report)) {
+      ASSERT_TRUE(error.has_value());
+      const std::string prefix =
+          scan_network_text(text).model == SourceModel::Iterated
+              ? "iterated network text"
+              : "network text";
+      const std::string where =
+          finding->line == 0 ? "" : " line " + std::to_string(finding->line);
+      EXPECT_EQ(*error, prefix + where + ": " + finding->message);
       ++rejected_for_syntax;
     } else if (!report.has_errors()) {
-      EXPECT_TRUE(accepted);
+      EXPECT_FALSE(error.has_value()) << *error;
       ++accepted_clean;
+    }
+    if (error && *error != "network text: empty input") {
+      EXPECT_TRUE(std::regex_search(*error, names_line)) << *error;
     }
   }
   EXPECT_GT(rejected_for_syntax, 100u);
   EXPECT_GT(accepted_clean, 10u);
+}
+
+// parse_any_network builds exactly the model the text declares, and the
+// circuit it derives for the circuit readers is the flattening the model
+// itself defines: over every valid text of the corpus and the analyze
+// corpus of examples/.
+TEST(Source, ParseAnyNetworkBuildsTheDeclaredModel) {
+  std::vector<std::string> texts = fixture_texts();
+  Prng rng(19);
+  for (const std::string& text : generated_texts(rng)) texts.push_back(text);
+  for (const std::string& text :
+       corpus_dir(std::filesystem::path(SB_TEST_DATA_DIR) / ".." / ".." /
+                  "examples" / "corpus"))
+    texts.push_back(text);
+  std::size_t valid[3] = {};
+  for (const std::string& text : texts) {
+    if (strict_error(text)) continue;
+    SCOPED_TRACE(text);
+    const ParsedNetwork net = parse_any_network(text);
+    const ComparatorNetwork circuit = net.visit_circuit(
+        [](const ComparatorNetwork& flat) { return flat; });
+    switch (scan_network_text(text).model) {
+      case SourceModel::Circuit:
+        ASSERT_TRUE(std::holds_alternative<ComparatorNetwork>(net.model));
+        EXPECT_EQ(circuit, circuit_from_text(text));
+        ++valid[0];
+        break;
+      case SourceModel::Register:
+        ASSERT_TRUE(std::holds_alternative<RegisterNetwork>(net.model));
+        EXPECT_EQ(circuit,
+                  register_to_circuit(register_from_text(text)).circuit);
+        ++valid[1];
+        break;
+      case SourceModel::Iterated:
+        ASSERT_TRUE(std::holds_alternative<IteratedRdn>(net.model));
+        EXPECT_EQ(circuit, iterated_from_text(text).flatten().circuit);
+        EXPECT_STREQ(net.model_name(), "iterated");
+        ++valid[2];
+        break;
+      case SourceModel::Unknown:
+        ADD_FAILURE() << "accepted text without a model";
+    }
+  }
+  for (const std::size_t count : valid) EXPECT_GE(count, 2u);
 }
 
 TEST(Source, TokensPointIntoTheText) {

@@ -55,9 +55,10 @@
 // trace-event JSON array and the counters as a flat metrics snapshot.
 // A path of "-" writes to stderr so stdout output stays machine-clean.
 //
-// Files holding register networks are flattened where a circuit is
-// required; 'refute' requires a shuffle-based register network (the class
-// the lower bound addresses) or a circuit recognizable as an RDN.
+// Files holding register or iterated networks are flattened where a
+// circuit is required; 'refute' requires a shuffle-based register network
+// (the class the lower bound addresses), an iterated RDN or a circuit
+// recognizable as an RDN.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -66,6 +67,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "adversary/certificate.hpp"
@@ -110,11 +112,9 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-/// The circuit form plus (optionally) the original model for commands
-/// that care; parsing itself is shared with the batch service.
-using LoadedNetwork = ParsedNetwork;
-
-LoadedNetwork load_network(const std::string& path) {
+/// The network in the model its file declares; parsing itself is shared
+/// with the batch service.
+ParsedNetwork load_network(const std::string& path) {
   try {
     return parse_any_network(read_file(path));
   } catch (const std::invalid_argument& e) {
@@ -122,13 +122,26 @@ LoadedNetwork load_network(const std::string& path) {
   }
 }
 
+/// The file's network as a circuit, for the commands that draw or
+/// rewrite one.
+ComparatorNetwork load_circuit(const std::string& path) {
+  return load_network(path).visit_circuit(
+      [](const ComparatorNetwork& circuit) { return circuit; });
+}
+
+// make: every count is written as network text writes numbers
+// (parse_decimal) and <n> is a wire count the text parsers accept
+// (1..kMaxTextWidth), so make never prints a network they reject.
 int cmd_make(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: make <family> <n> [args...]\n");
+  long long width = 0;
+  if (argc < 2 || !parse_decimal(argv[1], width) || width < 1 ||
+      width > kMaxTextWidth) {
+    std::fprintf(stderr, "usage: make <family> <n> [args...] (1 <= n <= %u)\n",
+                 kMaxTextWidth);
     return 2;
   }
   const std::string family = argv[0];
-  const wire_t n = static_cast<wire_t>(std::atoi(argv[1]));
+  const auto n = static_cast<wire_t>(width);
   if (family == "bitonic") {
     std::fputs(to_text(bitonic_sorting_network(n)).c_str(), stdout);
   } else if (family == "oem") {
@@ -144,22 +157,25 @@ int cmd_make(int argc, char** argv) {
   } else if (family == "balanced") {
     std::fputs(to_text(periodic_balanced_sorter(n)).c_str(), stdout);
   } else if (family == "random-shuffle") {
-    if (argc < 4) {
+    long long depth = 0;
+    long long seed = 0;
+    if (argc < 4 || !parse_decimal(argv[2], depth) ||
+        !parse_decimal(argv[3], seed)) {
       std::fprintf(stderr, "usage: make random-shuffle <n> <depth> <seed>\n");
       return 2;
     }
-    Prng rng(static_cast<std::uint64_t>(std::atoll(argv[3])));
+    Prng rng(static_cast<std::uint64_t>(seed));
     std::fputs(to_text(random_shuffle_network(
-                           n, static_cast<std::size_t>(std::atoi(argv[2])),
-                           rng, {10, 5}))
+                           n, static_cast<std::size_t>(depth), rng, {10, 5}))
                    .c_str(),
                stdout);
   } else if (family == "random-rdn") {
-    if (argc < 3) {
+    long long seed = 0;
+    if (argc < 3 || !parse_decimal(argv[2], seed)) {
       std::fprintf(stderr, "usage: make random-rdn <n> <seed>\n");
       return 2;
     }
-    Prng rng(static_cast<std::uint64_t>(std::atoll(argv[2])));
+    Prng rng(static_cast<std::uint64_t>(seed));
     std::fputs(to_text(random_rdn(log2_exact(n), rng, 10, 5).net).c_str(),
                stdout);
   } else {
@@ -170,23 +186,24 @@ int cmd_make(int argc, char** argv) {
 }
 
 int cmd_info(const std::string& path) {
-  const LoadedNetwork loaded = load_network(path);
-  const NetworkStats stats = network_stats(loaded.circuit);
+  const ParsedNetwork loaded = load_network(path);
+  const ComparatorNetwork circuit = loaded.visit_circuit(
+      [](const ComparatorNetwork& flat) { return flat; });
+  const NetworkStats stats = network_stats(circuit);
   std::printf("width        %u\n", stats.width);
   std::printf("depth        %zu\n", stats.depth);
   std::printf("comparators  %zu\n", stats.comparators);
   std::printf("exchanges    %zu\n", stats.exchanges);
   std::printf("empty levels %zu\n", stats.empty_levels);
-  if (loaded.register_form) {
+  if (const auto* reg = std::get_if<RegisterNetwork>(&loaded.model)) {
     std::printf("model        register (%s)\n",
-                loaded.register_form->is_shuffle_based()
-                    ? "shuffle-based"
-                    : "general permutations");
+                reg->is_shuffle_based() ? "shuffle-based"
+                                        : "general permutations");
   } else {
-    std::printf("model        circuit\n");
+    std::printf("model        %s\n", loaded.model_name());
     if (is_pow2(stats.width) && stats.depth == log2_exact(stats.width)) {
       std::printf("RDN          %s\n",
-                  recognize_rdn(loaded.circuit) ? "yes (recognized)" : "no");
+                  recognize_rdn(circuit) ? "yes (recognized)" : "no");
     }
   }
   // Machine facts (which kernel path sweeps would take here, compile
@@ -241,40 +258,39 @@ int cmd_certify(int argc, char** argv) {
                  "usage: certify <file> [--certify-engine auto|frontier|sweep|analyze]\n");
     return 2;
   }
-  const LoadedNetwork loaded = load_network(path);
+  const ParsedNetwork loaded = load_network(path);
   ThreadPool pool;
   opts.pool = &pool;
-  // Strict check in the network's own model (register sorters finish in
-  // register order; circuits in wire order)...
-  const ZeroOneReport report =
-      loaded.register_form ? zero_one_check(*loaded.register_form, opts)
-                           : zero_one_check(loaded.circuit, opts);
-  if (report.sorts_all) {
-    // The vector counter saturates at 2^64 - 1; name the count instead.
-    const wire_t n = loaded.circuit.width();
-    if (n >= 64)
-      std::printf("SORTING NETWORK (all 2^%u 0/1 vectors sorted)\n", n);
-    else
-      std::printf("SORTING NETWORK (all %llu 0/1 vectors sorted)\n",
-                  static_cast<unsigned long long>(report.vectors_checked));
-    return 0;
-  }
-  // ... falling back to the paper's general definition: a fixed output
-  // rank assignment is allowed. The relabel sweep enumerates all 2^n
-  // vectors, so skip it past the sweep cap and report the strict verdict.
-  if (loaded.circuit.width() <= kSweepWidthCap) {
-    const RelabelReport relabeled =
-        loaded.register_form
-            ? zero_one_check_up_to_relabel(*loaded.register_form, &pool)
-            : zero_one_check_up_to_relabel(loaded.circuit, &pool);
-    if (relabeled.sorts) {
+  // Register sorters are checked in their own model (they finish in
+  // register order), everything else as a circuit (wire order).
+  const auto certify = [&](const auto& net) {
+    const ZeroOneReport report = zero_one_check(net, opts);
+    if (report.sorts_all) {
+      // The vector counter saturates at 2^64 - 1; name the count instead.
+      const wire_t n = net.width();
+      if (n >= 64)
+        std::printf("SORTING NETWORK (all 2^%u 0/1 vectors sorted)\n", n);
+      else
+        std::printf("SORTING NETWORK (all %llu 0/1 vectors sorted)\n",
+                    static_cast<unsigned long long>(report.vectors_checked));
+      return 0;
+    }
+    // Falling back to the paper's general definition: a fixed output
+    // rank assignment is allowed. The relabel sweep enumerates all 2^n
+    // vectors, so skip it past the sweep cap and report the strict
+    // verdict.
+    if (net.width() <= kSweepWidthCap &&
+        zero_one_check_up_to_relabel(net, &pool).sorts) {
       std::printf("SORTING NETWORK up to a fixed output rank assignment\n");
       return 0;
     }
-  }
-  std::printf("NOT a sorting network; failing 0/1 vector: 0x%llx\n",
-              static_cast<unsigned long long>(*report.failing_vector));
-  return 1;
+    std::printf("NOT a sorting network; failing 0/1 vector: 0x%llx\n",
+                static_cast<unsigned long long>(*report.failing_vector));
+    return 1;
+  };
+  if (const auto* reg = std::get_if<RegisterNetwork>(&loaded.model))
+    return certify(*reg);
+  return loaded.visit_circuit(certify);
 }
 
 // analyze: static order-relation analysis (docs/analyze.md). The report
@@ -303,8 +319,7 @@ int cmd_analyze(int argc, char** argv) {
     std::fprintf(stderr, "usage: analyze <file> [--json]\n");
     return 2;
   }
-  const LoadedNetwork loaded = load_network(path);
-  const AnalyzeReport report = analyze(loaded.circuit);
+  const AnalyzeReport report = analyze(load_circuit(path));
   const auto hex128 = [](std::pair<std::uint64_t, std::uint64_t> fp) {
     char buf[36];
     std::snprintf(buf, sizeof buf, "0x%016llx%016llx",
@@ -313,31 +328,9 @@ int cmd_analyze(int argc, char** argv) {
     return std::string(buf);
   };
   if (json) {
-    // Same shape as the batch/server "analyze" job payload, plus the
-    // per-comparator findings the service keeps as counts.
-    JsonValue doc = JsonValue::object();
-    doc.set("verdict", analyze_verdict_name(report.verdict));
-    doc.set("width", report.width);
-    doc.set("levels", static_cast<std::uint64_t>(report.levels));
-    doc.set("comparators", static_cast<std::uint64_t>(report.comparators));
-    if (report.verdict == AnalyzeVerdict::CertifiedUpToRelabel) {
-      JsonValue ranks = JsonValue::array();
-      for (const wire_t r : report.relabel_ranks)
-        ranks.push_back(static_cast<unsigned>(r));
-      doc.set("relabel_ranks", std::move(ranks));
-    }
-    doc.set("redundant", static_cast<std::uint64_t>(report.redundant_count()));
-    doc.set("always_exchange",
-            static_cast<std::uint64_t>(report.always_exchange_count()));
-    doc.set("dead_levels",
-            static_cast<std::uint64_t>(report.dead_levels.size()));
-    doc.set("untouched_slots",
-            static_cast<std::uint64_t>(report.untouched_slots.size()));
-    doc.set("relation_pairs",
-            static_cast<std::uint64_t>(report.relation_pairs));
-    doc.set("relation_fingerprint", hex128(report.relation_fingerprint));
-    doc.set("subsumption_fingerprint",
-            hex128(report.subsumption_fingerprint));
+    // The batch/server "analyze" job payload, plus the per-comparator
+    // findings the service keeps as counts.
+    JsonValue doc = analyze_payload(report);
     JsonValue ops = JsonValue::array();
     for (const OpFinding& f : report.trivial_ops) {
       JsonValue op = JsonValue::object();
@@ -394,11 +387,8 @@ int cmd_refute(int argc, char** argv) {
     std::fprintf(stderr, "usage: refute <file> [--chunked]\n");
     return 2;
   }
-  const LoadedNetwork loaded = load_network(path);
-  const RefutationResult result =
-      loaded.iterated_form   ? refute(*loaded.iterated_form)
-      : loaded.register_form ? refute(*loaded.register_form)
-                             : refute(loaded.circuit);
+  const RefutationResult result = load_network(path).visit(
+      [](const auto& net) { return refute(net); });
   switch (result.status) {
     case RefutationStatus::Refuted:
       // --chunked forces the v2 stream; verify accepts both.
@@ -476,19 +466,19 @@ int cmd_sweep(int argc, char** argv) {
 }
 
 int cmd_show(const std::string& path) {
-  const LoadedNetwork loaded = load_network(path);
-  if (loaded.circuit.width() > 64) {
+  const ComparatorNetwork circuit = load_circuit(path);
+  if (circuit.width() > 64) {
     std::fprintf(stderr, "show: diagrams limited to n <= 64\n");
     return 2;
   }
-  std::fputs(to_diagram(loaded.circuit).c_str(), stdout);
+  std::fputs(to_diagram(circuit).c_str(), stdout);
   return 0;
 }
 
 int cmd_verify(const std::string& net_path, const std::string& cert_path) {
-  const LoadedNetwork loaded = load_network(net_path);
+  const ComparatorNetwork circuit = load_circuit(net_path);
   const Certificate cert = certificate_from_text(read_file(cert_path));
-  const CertificateVerdict verdict = verify_certificate(loaded.circuit, cert);
+  const CertificateVerdict verdict = verify_certificate(circuit, cert);
   if (verdict.accepted()) {
     std::printf("ACCEPTED: the certificate proves the network is not a "
                 "sorting network\n");
@@ -503,16 +493,15 @@ int cmd_verify(const std::string& net_path, const std::string& cert_path) {
 }
 
 int cmd_dot(const std::string& path) {
-  const LoadedNetwork loaded = load_network(path);
-  std::fputs(to_dot(loaded.circuit).c_str(), stdout);
+  std::fputs(to_dot(load_circuit(path)).c_str(), stdout);
   return 0;
 }
 
 int cmd_compact(const std::string& path) {
-  const LoadedNetwork loaded = load_network(path);
-  const ComparatorNetwork compact = compact_levels(loaded.circuit);
+  const ComparatorNetwork circuit = load_circuit(path);
+  const ComparatorNetwork compact = compact_levels(circuit);
   std::fprintf(stderr, "# depth %zu -> %zu (critical path)\n",
-               loaded.circuit.depth(), compact.depth());
+               circuit.depth(), compact.depth());
   std::fputs(to_text(compact).c_str(), stdout);
   return 0;
 }
@@ -638,15 +627,15 @@ int cmd_search(int argc, char** argv) {
 
 int cmd_prune(const std::string& path, std::size_t test_count,
               std::uint64_t seed) {
-  const LoadedNetwork loaded = load_network(path);
-  if (!loaded.register_form) {
+  const ParsedNetwork loaded = load_network(path);
+  const auto* reg = std::get_if<RegisterNetwork>(&loaded.model);
+  if (reg == nullptr) {
     std::fprintf(stderr, "prune: expects a register-model network file\n");
     return 2;
   }
   Prng rng(seed);
-  const auto tests =
-      random_zero_one_vectors(loaded.register_form->width(), test_count, rng);
-  const PruneResult pruned = prune_for_test_set(*loaded.register_form, tests);
+  const auto tests = random_zero_one_vectors(reg->width(), test_count, rng);
+  const PruneResult pruned = prune_for_test_set(*reg, tests);
   std::fprintf(stderr, "# comparators %zu -> %zu against %zu random 0/1 tests\n",
                pruned.comparators_before, pruned.comparators_after,
                tests.size());
