@@ -84,7 +84,7 @@ StreamStats run_stream(const std::vector<JobSpec>& jobs, std::size_t workers,
                           [&](const JobResult&) { ++stats.results; });
     for (const JobSpec& spec : jobs) engine.submit(spec);
     engine.finish();
-    for (std::size_t k = 0; k < 5; ++k)
+    for (std::size_t k = 0; k < kJobKindCount; ++k)
       stats.cache_hits += engine.telemetry().kind(k).cache_hits.load();
   }
   stats.seconds = std::chrono::duration<double>(

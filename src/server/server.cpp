@@ -353,12 +353,8 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     deliver(conn, ticket, job.result->to_json_line(), /*engine_result=*/true);
     return;
   }
-  AnalysisEngine::Admission admission;
-  {
-    std::scoped_lock lock(submit_mutex_);
-    admission = engine_->try_submit_for(
-        std::move(job), std::chrono::milliseconds(config_.admission_wait_ms));
-  }
+  const AnalysisEngine::Admission admission = engine_->try_submit_for(
+      std::move(job), std::chrono::milliseconds(config_.admission_wait_ms));
   if (admission == AnalysisEngine::Admission::Accepted) return;
 
   {

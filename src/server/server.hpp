@@ -18,7 +18,7 @@
 //          -> idle connection: the engine's probe step, on the reader
 //             -- hit / invalid / unparseable: answered here
 //          -> submit (a probed miss carries its parse and key)
-//               -> AnalysisEngine (shared; submits serialized by one mutex)
+//               -> AnalysisEngine (shared; results leave as jobs finish)
 //               -> shared result sink -- route by JobSpec::client_tag
 //     -> per-connection ticket reorder buffer -> socket write
 //
@@ -27,8 +27,9 @@
 // key, lookup and (for refute) the witness replay - the same step a
 // worker runs. A cache hit, invalid spec or unparseable network is
 // delivered at once under its ticket: it consumes no engine seq, no
-// queue slot and no worker wake-up, and never waits behind another
-// connection's slow job in the engine's in-order emission. A miss is
+// queue slot and no worker wake-up. (A queued job does not wait behind
+// another connection's slow job either: the engine keeps no global
+// order and hands each result over as its job finishes.) A miss is
 // submitted with its parsed network and key, so nothing is parsed or
 // probed twice. Behind an in-flight job a request queues unprobed, so
 // the reorder buffer never holds more than max_inflight_per_conn
@@ -44,7 +45,7 @@
 // `draining` rejection, stats, shutdown ack - enters the connection's
 // reorder buffer under its ticket and is written strictly in ticket
 // order, so per-connection ordering holds even though the engine
-// interleaves jobs from all connections into one global sequence.
+// finishes jobs from all connections in whatever order they complete.
 //
 // Admission control. The engine's BoundedQueue is the backpressure
 // signal: submits use try_submit_for with a bounded wait, and a queue
@@ -184,8 +185,7 @@ class Server {
   std::uint16_t bound_port_ = 0;
   int shutdown_pipe_[2] = {-1, -1};  // internal wake for request_shutdown
 
-  std::mutex submit_mutex_;  // engine submits are single-producer
-  std::mutex conn_mutex_;    // guards conns_ and next_conn_id_
+  std::mutex conn_mutex_;  // guards conns_ and next_conn_id_
   std::map<std::uint32_t, std::shared_ptr<Connection>> conns_;
   std::uint32_t next_conn_id_ = 1;
 

@@ -13,10 +13,11 @@
 // trusted exactly as far as the machine-checkable certificate, not as far
 // as the cache's own integrity.
 //
-// Concurrency: shared_mutex, readers parallel, writers exclusive. Two
-// workers computing the same key concurrently both insert; last write
-// wins, and since payloads are deterministic the duplicates are
-// identical.
+// Concurrency: shared_mutex, readers parallel, writers exclusive. One
+// engine computes each key once (its workers coalesce on an in-flight
+// key); two engines that share a cache may both compute and insert the
+// same key, and then the last write wins - since payloads are
+// deterministic the duplicates are identical.
 #pragma once
 
 #include <atomic>

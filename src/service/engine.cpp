@@ -340,6 +340,38 @@ JobResult& begin_result(ProbedJob& job) {
   return result;
 }
 
+/// The cache half of the probe step: lookup under the job's key, with
+/// refute revalidation. Answers the job in `job.result` on a hit and adds
+/// its time to `job.probe_time`.
+void lookup_step(ProbedJob& job, CompilationArena& arena, CacheTier& tier) {
+  const CacheKey& key = *job.key;
+  const auto probe_start = Clock::now();
+  std::optional<JsonValue> hit;
+  {
+    SB_OBS_SPAN("service", "cache_probe");
+    hit = tier.cache.lookup(key);
+    // Cached refutations are not trusted: the witness is replayed
+    // through the freshly parsed network before it is served.
+    if (hit && job.spec.kind == JobKind::Refute) {
+      const bool valid = revalidate_refutation(*job.net, *hit, arena);
+      tier.telemetry.count_witness_revalidation(valid);
+      SB_OBS_COUNT("service.witness_revalidations", 1);
+      if (!valid) {
+        SB_OBS_COUNT("service.witness_revalidation_failures", 1);
+        tier.cache.invalidate(key);
+        hit.reset();
+      }
+    }
+  }
+  job.probe_time += Clock::now() - probe_start;
+  if (hit) {
+    job.hit = true;
+    JobResult& result = begin_result(job);
+    result.ok = true;
+    result.payload = std::move(*hit);
+  }
+}
+
 /// The probe step: spec check, network parse (for the kinds that have
 /// one), cache key, lookup with refute revalidation. Answers the job in
 /// `job.result` when it can; otherwise leaves the parsed network and key
@@ -366,36 +398,11 @@ void probe_step(ProbedJob& job, CompilationArena& arena, CacheTier* tier) {
   }
   if (tier == nullptr) return;
 
-  const CacheKey& key =
-      job.key.emplace(spec.kind == JobKind::Lint ? AnalysisEngine::lint_cache_key(spec)
-                      : spec.kind == JobKind::Search
-                          ? AnalysisEngine::search_cache_key(spec)
-                          : AnalysisEngine::cache_key(spec, *job.net));
-  const auto probe_start = Clock::now();
-  std::optional<JsonValue> hit;
-  {
-    SB_OBS_SPAN("service", "cache_probe");
-    hit = tier->cache.lookup(key);
-    // Cached refutations are not trusted: the witness is replayed
-    // through the freshly parsed network before it is served.
-    if (hit && spec.kind == JobKind::Refute) {
-      const bool valid = revalidate_refutation(*job.net, *hit, arena);
-      tier->telemetry.count_witness_revalidation(valid);
-      SB_OBS_COUNT("service.witness_revalidations", 1);
-      if (!valid) {
-        SB_OBS_COUNT("service.witness_revalidation_failures", 1);
-        tier->cache.invalidate(key);
-        hit.reset();
-      }
-    }
-  }
-  job.probe_time = Clock::now() - probe_start;
-  if (hit) {
-    job.hit = true;
-    JobResult& result = begin_result(job);
-    result.ok = true;
-    result.payload = std::move(*hit);
-  }
+  job.key.emplace(spec.kind == JobKind::Lint ? AnalysisEngine::lint_cache_key(spec)
+                  : spec.kind == JobKind::Search
+                      ? AnalysisEngine::search_cache_key(spec)
+                      : AnalysisEngine::cache_key(spec, *job.net));
+  lookup_step(job, arena, *tier);
 }
 
 /// The execute step of a job probe_step left unanswered: payload from
@@ -568,28 +575,22 @@ AnalysisEngine::AnalysisEngine(EngineConfig config, ResultSink sink)
 AnalysisEngine::~AnalysisEngine() { finish(); }
 
 bool AnalysisEngine::submit(JobSpec spec) {
-  if (finished_) return false;
   spec.seq = next_seq_++;
   if (obs::enabled()) spec.submit_us = obs::now_us();
-  telemetry_.kind(static_cast<std::size_t>(spec.kind))
-      .submitted.fetch_add(1, std::memory_order_relaxed);
-  return queue_.push(ProbedJob{std::move(spec)});
+  const std::size_t kind_index = static_cast<std::size_t>(spec.kind);
+  if (!queue_.push(ProbedJob{std::move(spec)})) return false;
+  telemetry_.kind(kind_index).submitted.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 AnalysisEngine::Admission AnalysisEngine::try_submit_for(
     ProbedJob job, std::chrono::milliseconds wait) {
-  if (finished_) return Admission::Closed;
-  // The seq is only consumed on success: a rejected job must not leave a
-  // hole in the sequence, or the in-order emit buffer would stall forever
-  // waiting for a result that never comes. Safe because submission is
-  // single-producer by contract.
-  job.spec.seq = next_seq_;
+  job.spec.seq = next_seq_++;
   if (obs::enabled()) job.spec.submit_us = obs::now_us();
   const std::size_t kind_index = static_cast<std::size_t>(job.spec.kind);
   switch (queue_.try_push_until(std::move(job),
                                 std::chrono::steady_clock::now() + wait)) {
     case QueuePush::Ok:
-      ++next_seq_;
       telemetry_.kind(kind_index).submitted.fetch_add(
           1, std::memory_order_relaxed);
       return Admission::Accepted;
@@ -617,8 +618,6 @@ bool AnalysisEngine::probe(ProbedJob& job) {
 }
 
 void AnalysisEngine::finish() {
-  if (finished_) return;
-  finished_ = true;
   queue_.close();
   std::unique_lock lock(join_mutex_);
   workers_done_.wait(lock, [this] { return active_workers_ == 0; });
@@ -649,9 +648,52 @@ void AnalysisEngine::process(ProbedJob job) {
   CacheTier tier{*cache_, telemetry_};
   if (!job.probed)
     probe_step(job, *arena_, config_.cache_enabled ? &tier : nullptr);
+  const bool owner = !job.result && job.key && claim_key(job, deadline);
   if (!job.result) execute_step(job, deadline, *arena_, cache_.get());
+  if (owner) release_key(*job.key);
   account(job, start);
-  emit(std::move(*job.result));
+  if (sink_) {
+    std::scoped_lock lock(sink_mutex_);
+    sink_(*job.result);
+  }
+}
+
+bool AnalysisEngine::claim_key(ProbedJob& job, Clock::time_point deadline) {
+  const CacheKey& key = *job.key;
+  const auto released = [this, &key] { return !inflight_keys_.contains(key); };
+  std::unique_lock lock(keys_mutex_);
+  while (!inflight_keys_.insert(key).second) {
+    bool in_time = true;
+    {
+      SB_OBS_SPAN("service", "key_wait");
+      if (deadline == Clock::time_point::max())
+        key_released_.wait(lock, released);
+      else
+        in_time = key_released_.wait_until(lock, deadline, released);
+    }
+    if (!in_time) {
+      JobResult& result = begin_result(job);
+      result.timed_out = true;
+      result.error = "timeout";
+      return false;
+    }
+    // The owner has released the key: its insert (if it succeeded)
+    // answers this job as a hit, else this worker claims the key.
+    lock.unlock();
+    CacheTier tier{*cache_, telemetry_};
+    lookup_step(job, *arena_, tier);
+    if (job.result) return false;
+    lock.lock();
+  }
+  return true;
+}
+
+void AnalysisEngine::release_key(const CacheKey& key) {
+  {
+    std::scoped_lock lock(keys_mutex_);
+    inflight_keys_.erase(key);
+  }
+  key_released_.notify_all();
 }
 
 void AnalysisEngine::account(const ProbedJob& job, Clock::time_point start) {
@@ -678,18 +720,6 @@ void AnalysisEngine::account(const ProbedJob& job, Clock::time_point start) {
   } else {
     tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
     SB_OBS_COUNT("service.cache_misses", 1);
-  }
-}
-
-void AnalysisEngine::emit(JobResult result) {
-  std::scoped_lock lock(emit_mutex_);
-  pending_results_.emplace(result.seq, std::move(result));
-  for (auto it = pending_results_.find(next_emit_);
-       it != pending_results_.end();
-       it = pending_results_.find(next_emit_)) {
-    if (sink_) sink_(it->second);
-    pending_results_.erase(it);
-    ++next_emit_;
   }
 }
 

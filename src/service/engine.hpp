@@ -4,9 +4,9 @@
 // Shape:
 //
 //   submit(spec) --> BoundedQueue (backpressure) --> ThreadPool workers
-//        --> probe step --> execute step (pure, deterministic)
+//        --> probe step --> key claim --> execute step (pure, deterministic)
 //                 \-> ResultCache keyed by network fingerprint + params
-//        --> in-order result sink
+//        --> result sink, as each job finishes
 //
 // Every job takes the same two steps. The probe step checks the spec,
 // parses the network, computes the cache key and looks it up (replaying
@@ -20,34 +20,43 @@
 //
 // Contracts the rest of the system builds on:
 //
-//  * Deterministic output. Results are emitted to the sink in submission
-//    order, and each result is a pure function of its spec - so a batch
-//    produces byte-identical output for any worker count and any cache
-//    state. Telemetry (latency, hits, queue pressure) absorbs all the
-//    nondeterminism instead.
+//  * Deterministic results. Each result is a pure function of its spec
+//    and carries its job's submission index (JobResult::seq). The engine
+//    hands results to the sink as their jobs finish, in no particular
+//    order; a front end that promises input order (`batch`) reorders by
+//    seq, and then produces byte-identical output for any worker count
+//    and any cache state. Telemetry (latency, hits, queue pressure)
+//    absorbs all the nondeterminism instead.
 //  * Backpressure. At most `queue_capacity` jobs wait between the
-//    producer and the workers; submit() blocks past that.
+//    producers and the workers; submit() blocks past that.
 //  * Memoization with re-validation. Completed payloads are cached under
 //    the canonical network fingerprint. Cached refutations are not
 //    trusted: the witness pair is replayed through the freshly parsed
 //    network before being served, and a failing entry is invalidated and
 //    recomputed.
+//  * One computation per key. A worker claims a miss's cache key before
+//    executing it. A job whose key another worker holds waits (span
+//    `service/key_wait`) until the key is released or its own deadline
+//    passes, then probes the cache again: the owner's payload answers it
+//    as a hit. An owner that failed or timed out cached nothing, so the
+//    waiter claims the key and computes it itself.
 //  * Cooperative timeouts. A per-job deadline (spec.timeout_ms, falling
 //    back to the engine default; 0 = unlimited) is checked between work
-//    chunks (trial blocks, 0-1 sweep batches) and before expensive
-//    phases. Timed-out jobs yield an error result and are never cached.
-//    Timeouts necessarily break the determinism contract - batches that
-//    rely on byte-identical output should run without them.
+//    chunks (trial blocks, 0-1 sweep batches), before expensive phases
+//    and by the key wait. Timed-out jobs yield an error result and are
+//    never cached. Timeouts necessarily break the determinism contract -
+//    batches that rely on byte-identical output should run without them.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <unordered_set>
 
 #include "service/cache.hpp"
 #include "service/job.hpp"
@@ -104,9 +113,10 @@ struct EngineConfig {
 
 class AnalysisEngine {
  public:
-  /// `sink` receives every submitted job's result exactly once, in
-  /// submission order, from a worker thread (serialized - never
-  /// concurrently). A job probe() answered is never submitted.
+  /// `sink` receives every submitted job's result exactly once, as its
+  /// job finishes, from a worker thread (serialized - never
+  /// concurrently). JobResult::seq is the job's submission index. A job
+  /// probe() answered is never submitted.
   using ResultSink = std::function<void(const JobResult&)>;
 
   AnalysisEngine(EngineConfig config, ResultSink sink);
@@ -118,8 +128,7 @@ class AnalysisEngine {
   AnalysisEngine& operator=(const AnalysisEngine&) = delete;
 
   /// Enqueues a job; assigns spec.seq. Blocks while the queue is full
-  /// (backpressure). Returns false after finish(). Single producer: call
-  /// from one thread at a time (seq assignment orders the output).
+  /// (backpressure). Returns false after finish(). Safe from any thread.
   bool submit(JobSpec spec);
 
   /// Outcome of try_submit_for - the admission-control verdict the server
@@ -128,14 +137,14 @@ class AnalysisEngine {
 
   /// Like submit(), but waits for queue space at most `wait` instead of
   /// blocking indefinitely: QueueFull means the engine stayed saturated
-  /// for the whole window and the job was dropped (no seq consumed, so
-  /// result ordering is unaffected), Closed means finish() has begun.
-  /// Same single-producer contract as submit(). When the job's probe step
-  /// already ran (a probe() miss), the worker runs only its execute step.
+  /// for the whole window and the job was dropped (its seq is never
+  /// reused), Closed means finish() has begun. Safe from any thread. When
+  /// the job's probe step already ran (a probe() miss), the worker runs
+  /// only its execute step.
   Admission try_submit_for(ProbedJob job, std::chrono::milliseconds wait);
 
-  /// Runs the probe step on the calling thread. Thread-safe and outside
-  /// the single-producer contract: it takes no seq and no queue slot.
+  /// Runs the probe step on the calling thread. Thread-safe: it takes no
+  /// seq and no queue slot.
   /// Returns true when the probe answered the job; `job.result` is then
   /// final and counted in telemetry exactly as a worker-answered job
   /// (submitted, completed or failed, cache hit, latency, cache_probe).
@@ -181,7 +190,12 @@ class AnalysisEngine {
   /// (job.charged plus the time since `start`, minus the probe) and
   /// probe time.
   void account(const ProbedJob& job, ProbedJob::Clock::time_point start);
-  void emit(JobResult result);
+  /// Claims the miss's cache key for this worker, waiting while another
+  /// worker holds it. True when this worker now holds the key; false when
+  /// the wait answered the job (a cache hit after the owner's insert, or
+  /// a timeout at `deadline`).
+  bool claim_key(ProbedJob& job, ProbedJob::Clock::time_point deadline);
+  void release_key(const CacheKey& key);
 
   EngineConfig config_;
   ResultSink sink_;
@@ -189,12 +203,13 @@ class AnalysisEngine {
   CompilationArena* arena_;  // config_.arena or the process-wide global
   Telemetry telemetry_;
   BoundedQueue<ProbedJob> queue_;
-  std::uint64_t next_seq_ = 0;
-  bool finished_ = false;
+  std::atomic<std::uint64_t> next_seq_{0};
 
-  std::mutex emit_mutex_;
-  std::map<std::uint64_t, JobResult> pending_results_;
-  std::uint64_t next_emit_ = 0;
+  std::mutex sink_mutex_;  // serializes sink_ calls
+
+  std::mutex keys_mutex_;  // guards inflight_keys_
+  std::condition_variable key_released_;
+  std::unordered_set<CacheKey, CacheKeyHash> inflight_keys_;  // being computed
 
   std::mutex join_mutex_;
   std::condition_variable workers_done_;

@@ -428,6 +428,9 @@ TEST(AnalyzeService, ParallelAnalyzeJobsMatchDirectVerdicts) {
       ASSERT_TRUE(engine.submit(job_from_json_line(line, ++line_number)));
     engine.finish();
   }
+  // The engine emits as jobs finish; order the results by seq.
+  std::sort(results.begin(), results.end(),
+            [](const JobResult& a, const JobResult& b) { return a.seq < b.seq; });
 
   ASSERT_EQ(results.size(), lines.size());
   for (std::size_t i = 0; i < results.size(); ++i) {

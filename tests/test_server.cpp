@@ -448,13 +448,39 @@ TEST(Server, HitIsAnsweredWhileAnotherConnectionRunsASlowMiss) {
   b.send_line(slow_count_line("b0"));
   std::this_thread::sleep_for(50ms);  // b0 is in the engine first
   const std::string hit = round_trip(a, hit_line);
-  // Neither a worker nor the engine's in-order emission sits between the
+  // Neither a worker nor any engine-wide result order sits between the
   // hit and its connection: it arrives while b0 is still computing.
   EXPECT_FALSE(b.read_line(20ms).has_value()) << "slow miss finished first";
   EXPECT_EQ(hit, renamed(warm, "a0", "a1"));
   const auto slow = b.read_line();
   ASSERT_TRUE(slow.has_value());
   EXPECT_EQ(response_id(*slow), "b0");
+  EXPECT_EQ(rs.stop(), 0);
+}
+
+TEST(Server, TwoConnectionsShareOneComputationOfANewKey) {
+  ServerConfig config;
+  config.workers = 2;
+  RunningServer rs(config);
+
+  TestConn a(rs.port());
+  TestConn b(rs.port());
+  ASSERT_TRUE(a.connected() && b.connected());
+  a.send_line(slow_count_line("a0"));
+  b.send_line(slow_count_line("b0"));
+  const auto from_a = a.read_line();
+  const auto from_b = b.read_line();
+  ASSERT_TRUE(from_a.has_value() && from_b.has_value());
+  EXPECT_TRUE(JsonValue::parse(*from_a).find("ok")->as_bool()) << *from_a;
+  EXPECT_EQ(*from_b, renamed(*from_a, "a0", "b0"));
+
+  // One worker computed the key; the other job waited for its insert.
+  const JsonValue stats =
+      JsonValue::parse(round_trip(a, "{\"op\":\"stats\"}"));
+  const JsonValue* misses =
+      find_path(stats, {"result", "jobs", "count-sorted", "cache_misses"});
+  ASSERT_NE(misses, nullptr);
+  EXPECT_EQ(misses->as_uint(), 1u);
   EXPECT_EQ(rs.stop(), 0);
 }
 

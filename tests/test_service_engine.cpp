@@ -1,10 +1,12 @@
 // The analysis job engine: JSONL job parsing, the pure execute() path for
-// every job kind, in-order deterministic emission across worker counts,
-// cache behavior (hits, poisoned-entry re-validation), and timeouts.
+// every job kind, deterministic results across worker counts (emitted as
+// jobs finish, ordered here by seq), cache behavior (hits, coalesced
+// concurrent misses, poisoned-entry re-validation), and timeouts.
 #include "service/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/sortedness.hpp"
@@ -54,7 +57,7 @@ std::string job_line(const char* op, const std::string& network_text,
 }
 
 /// Feeds `lines` through a fresh engine and returns the emitted result
-/// lines plus the telemetry document.
+/// lines, ordered by seq, plus the telemetry document.
 struct BatchRun {
   std::vector<std::string> lines;
   JsonValue telemetry;
@@ -63,9 +66,11 @@ struct BatchRun {
 BatchRun run_batch(const std::vector<std::string>& job_lines,
                    EngineConfig config) {
   BatchRun run;
+  // The engine emits as jobs finish; order by seq as `batch` does.
+  std::vector<std::pair<std::uint64_t, std::string>> emitted;
   {
     AnalysisEngine engine(std::move(config), [&](const JobResult& result) {
-      run.lines.push_back(result.to_json_line());
+      emitted.emplace_back(result.seq, result.to_json_line());
     });
     std::uint64_t line_number = 0;
     for (const auto& line : job_lines)
@@ -73,6 +78,8 @@ BatchRun run_batch(const std::vector<std::string>& job_lines,
     engine.finish();
     run.telemetry = engine.telemetry_to_json();
   }
+  std::sort(emitted.begin(), emitted.end());
+  for (auto& [seq, line] : emitted) run.lines.push_back(std::move(line));
   return run;
 }
 
@@ -329,13 +336,14 @@ std::vector<std::string> mixed_job_lines() {
   return lines;
 }
 
-TEST(ServiceEngine, EmitsInSubmissionOrder) {
+TEST(ServiceEngine, ResultSeqIsTheSubmissionIndex) {
   const auto lines = mixed_job_lines();
   EngineConfig config;
   config.workers = 4;
   const BatchRun run = run_batch(lines, config);
   ASSERT_EQ(run.lines.size(), lines.size());
-  // Every result echoes its line's id, in input order.
+  // Ordered by seq, every result echoes its line's id: seq is the
+  // submission index.
   for (std::size_t i = 0; i < lines.size() - 1; ++i) {
     const JsonValue line = JsonValue::parse(run.lines[i]);
     const JsonValue job = JsonValue::parse(lines[i]);
@@ -344,6 +352,85 @@ TEST(ServiceEngine, EmitsInSubmissionOrder) {
   // The malformed trailer produced an error result, not a crash.
   const JsonValue last = JsonValue::parse(run.lines.back());
   EXPECT_FALSE(last.find("ok")->as_bool());
+}
+
+/// A count-sorted job that runs for tens of milliseconds.
+std::string slow_count_line(const std::string& id) {
+  JsonValue o = JsonValue::object();
+  o.set("id", id);
+  o.set("op", "count-sorted");
+  o.set("network", broken16_text());
+  o.set("trials", 200'000);
+  o.set("seed", 1);
+  return o.dump();
+}
+
+TEST(ServiceEngine, FinishedJobIsNotHeldBehindASlowerOne) {
+  EngineConfig config;
+  config.workers = 2;
+  std::vector<std::string> arrivals;  // result ids in sink order
+  {
+    AnalysisEngine engine(std::move(config), [&](const JobResult& result) {
+      arrivals.push_back(result.id);
+    });
+    EXPECT_TRUE(engine.submit(job_from_json_line(slow_count_line("slow"), 1)));
+    EXPECT_TRUE(engine.submit(make_spec(JobKind::Info, sorter8_text(), "fast")));
+    engine.finish();
+  }
+  EXPECT_EQ(arrivals, (std::vector<std::string>{"fast", "slow"}));
+}
+
+TEST(ServiceEngine, ConcurrentMissesOfOneKeyComputeOnce) {
+  const std::string line = slow_count_line("m");
+  EngineConfig config;
+  config.workers = 4;
+  const BatchRun run = run_batch({line, line, line, line}, config);
+  ASSERT_EQ(run.lines.size(), 4u);
+  const JobResult expected = AnalysisEngine::execute(job_from_json_line(line, 1));
+  for (const std::string& result : run.lines)
+    EXPECT_EQ(result, expected.to_json_line());
+  // One worker computed the key; the other three waited for its insert.
+  EXPECT_EQ(telemetry_uint(run.telemetry, {"jobs", "count-sorted", "cache_misses"}),
+            1u);
+  EXPECT_EQ(telemetry_uint(run.telemetry, {"jobs", "count-sorted", "cache_hits"}),
+            3u);
+}
+
+TEST(ServiceEngine, KeyWaitHonoursItsOwnDeadline) {
+  const JobSpec owner = job_from_json_line(slow_count_line("owner"), 1);
+  JobSpec twin = owner;
+  twin.id = "twin";
+  twin.timeout_ms = 1;  // not part of the key: the twin waits on the owner
+  auto cache = std::make_shared<ResultCache>();
+  EngineConfig config;
+  config.workers = 2;
+  config.cache = cache;
+  std::vector<JobResult> arrivals;
+  JsonValue telemetry;
+  {
+    AnalysisEngine engine(std::move(config), [&](const JobResult& result) {
+      arrivals.push_back(result);
+    });
+    EXPECT_TRUE(engine.submit(owner));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // owner claims
+    EXPECT_TRUE(engine.submit(twin));
+    engine.finish();
+    telemetry = engine.telemetry_to_json();
+  }
+  ASSERT_EQ(arrivals.size(), 2u);
+  // The twin gave up at its own deadline, while the owner still ran.
+  EXPECT_EQ(arrivals[0].id, "twin");
+  EXPECT_TRUE(arrivals[0].timed_out);
+  EXPECT_EQ(arrivals[0].error, "timeout");
+  EXPECT_EQ(arrivals[1].id, "owner");
+  ASSERT_TRUE(arrivals[1].ok) << arrivals[1].error;
+  const JobResult expected = AnalysisEngine::execute(owner);
+  EXPECT_EQ(arrivals[1].payload.dump(), expected.payload.dump());
+  const auto cached = cache->lookup(
+      AnalysisEngine::cache_key(owner, parse_any_network(owner.network_text)));
+  ASSERT_TRUE(cached.has_value());
+  EXPECT_EQ(cached->dump(), expected.payload.dump());
+  EXPECT_EQ(telemetry_uint(telemetry, {"jobs", "count-sorted", "timed_out"}), 1u);
 }
 
 TEST(ServiceEngine, OutputIsByteIdenticalAcrossWorkerCountsAndCacheStates) {

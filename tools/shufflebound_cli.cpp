@@ -63,6 +63,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -712,12 +713,20 @@ int cmd_batch(int argc, char** argv) {
   }
 
   bool any_failed = false;
+  // Results arrive as jobs finish; batch writes them in input order, so
+  // a line waits here until every earlier line has been written.
+  std::map<std::uint64_t, std::string> held;  // seq -> result line
+  std::uint64_t next_write = 0;
   {
-    AnalysisEngine engine(config, [&any_failed](const JobResult& result) {
-      const std::string line = result.to_json_line();
-      std::fwrite(line.data(), 1, line.size(), stdout);
-      std::fputc('\n', stdout);
+    AnalysisEngine engine(config, [&](const JobResult& result) {
+      held.emplace(result.seq, result.to_json_line());
       if (!result.ok) any_failed = true;
+      for (auto it = held.begin();
+           it != held.end() && it->first == next_write; ++next_write) {
+        std::fwrite(it->second.data(), 1, it->second.size(), stdout);
+        std::fputc('\n', stdout);
+        it = held.erase(it);
+      }
     });
     std::string line;
     std::uint64_t line_number = 0;
