@@ -201,14 +201,18 @@ std::string_view scan_numbers(NetworkSource& src, std::size_t line_no,
   return word;
 }
 
-void scan_circuit_body(NetworkSource& src,
-                       std::span<const LogicalLine> lines) {
-  for (const LogicalLine& line : lines) {
+// The body scanners return how many lines they read: all of them, or
+// up to and including the line that ends the network.
+
+std::size_t scan_circuit_body(NetworkSource& src,
+                              std::span<const LogicalLine> lines) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const LogicalLine& line = lines[i];
     Tokens tokens{line.text};
     const std::string_view word = tokens.next();
     if (word == "end") {
       src.terminated = true;
-      return;
+      return i + 1;
     }
     if (word != "level") {
       add_issue(src, "syntax-line", line.number,
@@ -217,16 +221,18 @@ void scan_circuit_body(NetworkSource& src,
     }
     src.levels.push_back(scan_level(src, line.number, tokens));
   }
+  return lines.size();
 }
 
-void scan_register_body(NetworkSource& src,
-                        std::span<const LogicalLine> lines) {
-  for (const LogicalLine& line : lines) {
+std::size_t scan_register_body(NetworkSource& src,
+                               std::span<const LogicalLine> lines) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const LogicalLine& line = lines[i];
     Tokens tokens{line.text};
     std::string_view word = tokens.next();
     if (word == "end") {
       src.terminated = true;
-      return;
+      return i + 1;
     }
     if (word != "step") {
       add_issue(src, "syntax-line", line.number,
@@ -258,6 +264,7 @@ void scan_register_body(NetworkSource& src,
                 "'step perm <image> ; ops <n/2 symbols>'");
     step.syntax_ok = src.issues.size() == issues_before;
   }
+  return lines.size();
 }
 
 void scan_stage_line(NetworkSource& src, std::size_t line_no,
@@ -303,17 +310,18 @@ void scan_tree_line(NetworkSource& src, SourceStage& stage,
                stage.tree);
 }
 
-void scan_iterated_body(NetworkSource& src,
-                        std::span<const LogicalLine> lines) {
+std::size_t scan_iterated_body(NetworkSource& src,
+                               std::span<const LogicalLine> lines) {
   SourceStage* stage = nullptr;
   std::size_t first_line = 0;  // the open stage's first inner line
-  for (const LogicalLine& line : lines) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const LogicalLine& line = lines[i];
     Tokens tokens{line.text};
     const std::string_view word = tokens.next();
     if (stage == nullptr) {
       if (word == "end") {
         src.terminated = true;
-        return;
+        return i + 1;
       }
       if (word != "stage") {
         add_issue(src, "syntax-stage", line.number,
@@ -330,7 +338,7 @@ void scan_iterated_body(NetworkSource& src,
       add_issue(src, "syntax-stage", line.number,
                 "stage is missing 'endstage' before 'end'");
       src.terminated = true;
-      return;
+      return i + 1;
     }
     if (word == "endstage") {
       stage->closed = true;
@@ -345,12 +353,13 @@ void scan_iterated_body(NetworkSource& src,
                     quoted(word));
     }
   }
+  return lines.size();
 }
 
 struct ModelSyntax {
   const char* keyword;
   SourceModel model;
-  void (*scan_body)(NetworkSource&, std::span<const LogicalLine>);
+  std::size_t (*scan_body)(NetworkSource&, std::span<const LogicalLine>);
 };
 
 constexpr ModelSyntax kModels[] = {
@@ -401,7 +410,14 @@ NetworkSource scan_network_text(std::string_view text) {
               "expected '" + std::string(keyword) + " <width>', got " +
                   quoted(header.text));
   } else {
-    syntax->scan_body(src, std::span(lines).subspan(1));
+    const std::span<const LogicalLine> body = std::span(lines).subspan(1);
+    const std::size_t read = syntax->scan_body(src, body);
+    if (read < body.size())
+      add_issue(src, "syntax-line", body[read].number,
+                "text after 'end', got " +
+                    quoted(Tokens{body[read].text}.next()),
+                "the network ends at its 'end' line; move this line above "
+                "it or delete it");
     if (!src.terminated) {
       const bool open_stage =
           !src.stages.empty() && !src.stages.back().closed;

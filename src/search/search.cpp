@@ -133,7 +133,8 @@ ComparatorNetwork network_from_history(
 ComparatorNetwork certify_witness(const ComparatorNetwork& net,
                                   const SearchOptions& options,
                                   SearchStats& stats) {
-  const RelabelReport relabel = zero_one_check_up_to_relabel(net, options.pool);
+  const RelabelReport relabel =
+      zero_one_check_up_to_relabel(net, options.pool, options.progress);
   ++stats.leaf_certifications;
   if (!relabel.sorts)
     throw std::runtime_error("search: witness failed relabel certification");

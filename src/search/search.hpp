@@ -103,8 +103,9 @@ struct SearchOptions {
   std::size_t max_depth = 16;
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation/deadline hook, called once per expanded
-  /// node - concurrently from pool workers when a pool is set, so it
-  /// must be thread-safe (same contract as CertifyOptions::progress).
+  /// node and by the witness certification's sweeps - concurrently from
+  /// pool workers when a pool is set, so it must be thread-safe (same
+  /// contract as CertifyOptions::progress).
   /// Exceptions propagate and abort the search.
   std::function<void()> progress;
   /// When non-empty, the search writes a resumable checkpoint here at

@@ -108,43 +108,23 @@ JsonValue info_payload(const ParsedNetwork& net) {
 template <typename Net>
 JsonValue certify_payload(const Net& net, Clock::time_point deadline,
                           CompilationArena& arena, const ArenaKey& key) {
-  const wire_t n = net.width();
-  // Hybrid certification (sim/bitparallel.hpp): frontier-friendly
-  // networks certify far past the sweep's n <= 30 wall, everything else
-  // falls back to the wide-lane sweep. Jobs stay single-threaded (no
-  // pool: job-level parallelism lives across jobs); the progress hook
-  // runs the cooperative deadline - once per frontier level, once per
-  // sweep lane block - so both engines time out like strict_sweep did.
-  // The arena shares the compiled (and for circuits, redundancy-
-  // eliminated) op table across every job over the same network.
+  // The strict-then-relabel decision (certify_sorting,
+  // sim/bitparallel.hpp). Jobs stay single-threaded (no pool: job-level
+  // parallelism lives across jobs); the progress hook runs the
+  // cooperative deadline - once per frontier level, once per sweep lane
+  // block, once per relabel sweep block. The arena shares the compiled
+  // (and for circuits, redundancy-eliminated) op table across every job
+  // over the same network.
   CertifyOptions opts;
   opts.progress = [deadline] { check_deadline(deadline); };
   opts.arena = &arena;
   opts.arena_key = key;
-  const ZeroOneReport report = zero_one_check(net, opts);
+  const SortingReport report = certify_sorting(net, opts);
   JsonValue payload = JsonValue::object();
-  if (report.sorts_all) {
-    payload.set("verdict", "sorting");
-  } else {
-    check_deadline(deadline);
-    if (n <= kSweepWidthCap) {
-      // The paper's general definition allows a fixed output rank
-      // assignment; mirror the CLI's fallback.
-      const RelabelReport relabeled = zero_one_check_up_to_relabel(net);
-      if (relabeled.sorts) {
-        payload.set("verdict", "sorting-up-to-relabel");
-        payload.set("ranks", wires_to_json(relabeled.ranks->image()));
-      } else {
-        payload.set("verdict", "not-sorting");
-        payload.set("failing_vector", hex_u64(*report.failing_vector));
-      }
-    } else {
-      // Past the relabel sweep's reach: report the strict verdict with
-      // its witness (exact and minimal, by the engine contract).
-      payload.set("verdict", "not-sorting");
-      payload.set("failing_vector", hex_u64(*report.failing_vector));
-    }
-  }
+  payload.set("verdict", sorting_verdict_name(report.verdict));
+  if (report.ranks) payload.set("ranks", wires_to_json(report.ranks->image()));
+  if (report.failing_vector)
+    payload.set("failing_vector", hex_u64(*report.failing_vector));
   payload.set("vectors_checked", report.vectors_checked);
   return payload;
 }

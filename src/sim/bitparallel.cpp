@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -141,6 +142,24 @@ ZeroOneReport from_frontier(const FrontierReport& frontier, wire_t n) {
       "analyze engine found no static proof");
 }
 
+/// What one analyzer pass proved about a network: the verdict, and for
+/// CertifiedUpToRelabel the rank at each output position.
+struct AnalyzerProof {
+  AnalyzeVerdict verdict = AnalyzeVerdict::Inconclusive;
+  std::vector<wire_t> relabel_ranks;
+};
+
+AnalyzerProof run_analyzer(const CompiledNetwork& net) {
+  SB_OBS_SPAN("kernel", "analyze_certify");
+  AnalyzeReport report = analyze(level_program_from_compiled(net));
+  return {report.verdict, std::move(report.relabel_ranks)};
+}
+
+/// 2^n, saturated at n >= 64 (the analyze engine has no width cap).
+std::uint64_t all_vectors(wire_t n) {
+  return n >= 64 ? UINT64_MAX : std::uint64_t{1} << n;
+}
+
 /// The static-certification attempt: returns a report when the
 /// order-relation analysis (analyze/analyzer.hpp) proves the output
 /// chain, nullopt otherwise. The analysis is sound but incomplete - it
@@ -148,30 +167,27 @@ ZeroOneReport from_frontier(const FrontierReport& frontier, wire_t n) {
 /// non-sorting and the caller falls through to an enumerative engine.
 /// No test vector is ever evaluated on this path (the obs counters
 /// below, and the untouched kernel.vectors_evaluated, are the
-/// observable proof of that). `known` is a verdict the caller already
-/// proved for `net`; only without one does this run an analyzer pass.
+/// observable proof of that). `proof` is what the caller already proved
+/// for `net`; only without one does this run an analyzer pass (and keep
+/// its result there).
 std::optional<ZeroOneReport> analyze_zero_one(
-    const CompiledNetwork& net, std::optional<AnalyzeVerdict> known) {
-  if (!known) {
-    SB_OBS_SPAN("kernel", "analyze_certify");
-    known = analyze(level_program_from_compiled(net)).verdict;
-  }
-  if (*known != AnalyzeVerdict::Certified) {
+    const CompiledNetwork& net, std::optional<AnalyzerProof>& proof) {
+  if (!proof) proof = run_analyzer(net);
+  if (proof->verdict != AnalyzeVerdict::Certified) {
     SB_OBS_COUNT("kernel.analyze_inconclusive", 1);
     return std::nullopt;
   }
   SB_OBS_COUNT("kernel.analyze_certified", 1);
-  const wire_t n = net.width();
   ZeroOneReport out;
   out.sorts_all = true;
-  out.vectors_checked = n >= 64 ? UINT64_MAX : std::uint64_t{1} << n;
+  out.vectors_checked = all_vectors(net.width());
   return out;
 }
 
-/// The engine dispatch behind every zero_one_check overload; `known` as
+/// The engine dispatch behind every zero_one_check overload; `proof` as
 /// in analyze_zero_one.
 ZeroOneReport certify(const CompiledNetwork& net, const CertifyOptions& opts,
-                      std::optional<AnalyzeVerdict> known) {
+                      std::optional<AnalyzerProof>& proof) {
   const wire_t n = net.width();
   FrontierOptions frontier_opts;
   frontier_opts.budget = opts.frontier_budget;
@@ -190,7 +206,7 @@ ZeroOneReport certify(const CompiledNetwork& net, const CertifyOptions& opts,
       return from_frontier(frontier, n);
     }
     case CertifyEngine::Analyze: {
-      if (const auto report = analyze_zero_one(net, known)) return *report;
+      if (const auto report = analyze_zero_one(net, proof)) return *report;
       throw std::runtime_error(
           "zero_one_check: the analyze engine is inconclusive at n=" +
           std::to_string(n) +
@@ -207,7 +223,7 @@ ZeroOneReport certify(const CompiledNetwork& net, const CertifyOptions& opts,
   // smallest sweep - and when it certifies, zero vectors are evaluated
   // regardless of width.
   if (opts.analyze_first) {
-    if (const auto report = analyze_zero_one(net, known)) return *report;
+    if (const auto report = analyze_zero_one(net, proof)) return *report;
   }
   if (n <= kAutoSweepPreferredWidth)
     return sweep_zero_one(net, opts.pool, opts.progress);
@@ -260,25 +276,30 @@ std::optional<CertifyEngine> parse_certify_engine(std::string_view name) {
   return std::nullopt;
 }
 
-ZeroOneReport zero_one_check(const CompiledNetwork& net,
-                             const CertifyOptions& opts) {
-  return certify(net, opts, std::nullopt);
-}
+namespace {
 
-ZeroOneReport zero_one_check(const ComparatorNetwork& net,
-                             const CertifyOptions& opts) {
+/// A network ready to certify: its compiled op table (from the arena
+/// when the options name one) and, when compiling a circuit ran the
+/// elimination pass, the analyzer proof that pass yielded.
+struct Prepared {
+  std::shared_ptr<const CompiledNetwork> compiled;
+  std::optional<AnalyzerProof> proof;
+};
+
+Prepared prepare(const ComparatorNetwork& net, const CertifyOptions& opts) {
   // Redundancy elimination before compilation: pointwise output-
   // equivalent on every input (analyze/analyzer.hpp), so the verdict
   // and the minimal failing vector are unchanged while the compiled op
   // table shrinks. Both steps live inside the compile closure so an
   // arena hit skips them entirely.
-  std::optional<AnalyzeVerdict> verdict;
-  const auto compile_reduced = [&net, &verdict]() -> CompiledNetwork {
+  Prepared out;
+  const auto compile_reduced = [&net, &out]() -> CompiledNetwork {
     EliminationResult reduced = [&net] {
       SB_OBS_SPAN("kernel", "analyze_certify");
       return eliminate_redundant(net);
     }();
-    verdict = reduced.verdict;
+    out.proof =
+        AnalyzerProof{reduced.verdict, std::move(reduced.relabel_ranks)};
     if (reduced.removed == 0 && reduced.exchanged == 0) return compile(net);
     SB_OBS_COUNT("kernel.redundant_ops_removed", reduced.removed);
     SB_OBS_COUNT("kernel.always_exchange_rewrites", reduced.exchanged);
@@ -288,24 +309,46 @@ ZeroOneReport zero_one_check(const ComparatorNetwork& net,
   // the elimination pass above proves the verdict and certify reuses
   // it; on an arena hit the closure is skipped and certify runs its own
   // single analyze pass on the cached table.
-  if (opts.arena != nullptr && opts.arena_key) {
-    const std::shared_ptr<const CompiledNetwork> view =
-        opts.arena->get_or_compile(*opts.arena_key, compile_reduced);
-    return certify(*view, opts, verdict);
-  }
-  const CompiledNetwork compiled = compile_reduced();
-  return certify(compiled, opts, verdict);
+  out.compiled = opts.arena != nullptr && opts.arena_key
+                     ? opts.arena->get_or_compile(*opts.arena_key,
+                                                  compile_reduced)
+                     : std::make_shared<const CompiledNetwork>(
+                           compile_reduced());
+  return out;
+}
+
+Prepared prepare(const RegisterNetwork& net, const CertifyOptions& opts) {
+  const auto compile_plain = [&net] { return compile(net); };
+  Prepared out;
+  out.compiled =
+      opts.arena != nullptr && opts.arena_key
+          ? opts.arena->get_or_compile(*opts.arena_key, compile_plain)
+          : std::make_shared<const CompiledNetwork>(compile_plain());
+  return out;
+}
+
+template <typename Net>
+ZeroOneReport check_prepared(const Net& net, const CertifyOptions& opts) {
+  Prepared prepared = prepare(net, opts);
+  return certify(*prepared.compiled, opts, prepared.proof);
+}
+
+}  // namespace
+
+ZeroOneReport zero_one_check(const CompiledNetwork& net,
+                             const CertifyOptions& opts) {
+  std::optional<AnalyzerProof> proof;
+  return certify(net, opts, proof);
+}
+
+ZeroOneReport zero_one_check(const ComparatorNetwork& net,
+                             const CertifyOptions& opts) {
+  return check_prepared(net, opts);
 }
 
 ZeroOneReport zero_one_check(const RegisterNetwork& net,
                              const CertifyOptions& opts) {
-  if (opts.arena != nullptr && opts.arena_key) {
-    const std::shared_ptr<const CompiledNetwork> view =
-        opts.arena->get_or_compile(*opts.arena_key,
-                                   [&net] { return compile(net); });
-    return zero_one_check(*view, opts);
-  }
-  return zero_one_check(compile(net), opts);
+  return check_prepared(net, opts);
 }
 
 ZeroOneReport zero_one_check(const CompiledNetwork& net, ThreadPool* pool) {
@@ -343,14 +386,17 @@ constexpr std::uint32_t kRelabelUnset = 0xFFFFFFFFu;
 /// inputs of equal weight map to different outputs. Per-vector output
 /// extraction dominates here, so the plain 64-wide scalar reference
 /// kernel is the right tool; the compiled engine buys nothing.
+/// `progress` (when set) runs once per 64-vector block.
 template <typename Net>
 void relabel_sweep_range(const Net& net, std::uint64_t lo, std::uint64_t hi,
                          std::vector<std::uint32_t>& expected,
-                         std::atomic<bool>& diverged) {
+                         std::atomic<bool>& diverged,
+                         const std::function<void()>& progress) {
   const wire_t n = net.width();
   std::vector<std::uint64_t> words(n, 0);
   for (std::uint64_t base = lo; base < hi; base += 64) {
     if (diverged.load(std::memory_order_relaxed)) return;
+    if (progress) progress();
     const std::uint64_t batch = std::min<std::uint64_t>(64, hi - base);
     for (wire_t w = 0; w < n; ++w) words[w] = simd::pattern_word(w, base);
     evaluate_packed(net, words);
@@ -371,13 +417,15 @@ void relabel_sweep_range(const Net& net, std::uint64_t lo, std::uint64_t hi,
 }
 
 template <typename Net>
-RelabelReport relabel_impl(const Net& net, ThreadPool* pool) {
+RelabelReport relabel_impl(const Net& net, ThreadPool* pool,
+                           const std::function<void()>& progress) {
   const wire_t n = net.width();
   if (n > kSweepWidthCap)
     throw std::invalid_argument(
         cap_error("zero_one_check_up_to_relabel", "relabel sweep",
                   kSweepWidthCap, n, ""));
   SB_OBS_SPAN("kernel", "relabel_check");
+  SB_OBS_COUNT("kernel.relabel_sweeps", 1);
   const std::uint64_t total = std::uint64_t{1} << n;
   std::vector<std::uint32_t> expected(n + 1, kRelabelUnset);
   std::atomic<bool> diverged{false};
@@ -388,7 +436,7 @@ RelabelReport relabel_impl(const Net& net, ThreadPool* pool) {
           ? 1
           : std::min<std::uint64_t>(blocks, (pool->worker_count() + 1) * 4);
   if (shards <= 1) {
-    relabel_sweep_range(net, 0, total, expected, diverged);
+    relabel_sweep_range(net, 0, total, expected, diverged, progress);
     if (diverged.load()) return RelabelReport{};
   } else {
     // Shard the sweep over 64-aligned ranges: each shard fills its own
@@ -402,7 +450,8 @@ RelabelReport relabel_impl(const Net& net, ThreadPool* pool) {
       const std::uint64_t lo = static_cast<std::uint64_t>(shard) * chunk * 64;
       const std::uint64_t hi =
           std::min<std::uint64_t>(total, lo + chunk * 64);
-      if (lo < hi) relabel_sweep_range(net, lo, hi, tables[shard], diverged);
+      if (lo < hi)
+        relabel_sweep_range(net, lo, hi, tables[shard], diverged, progress);
     });
     if (diverged.load()) return RelabelReport{};
     for (const std::vector<std::uint32_t>& table : tables) {
@@ -432,16 +481,118 @@ RelabelReport relabel_impl(const Net& net, ThreadPool* pool) {
   return report;
 }
 
-}  // namespace
-
-RelabelReport zero_one_check_up_to_relabel(const ComparatorNetwork& net,
-                                           ThreadPool* pool) {
-  return relabel_impl(net, pool);
+/// The rotation of the n-bit word `v` left by `r` (0 < r < n).
+std::uint64_t rotate_within(std::uint64_t v, unsigned r, wire_t n) {
+  const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+  return ((v << r) | (v >> (n - r))) & all;
 }
 
-RelabelReport zero_one_check_up_to_relabel(const RegisterNetwork& net,
-                                           ThreadPool* pool) {
-  return relabel_impl(net, pool);
+/// Refutes "sorts up to relabel" from the strict failing vector `v`
+/// alone, n <= kSweepWidthCap. A relabel sorter maps every input of v's
+/// weight w to one output, so one 64-lane pass evaluates v, the
+/// weight-w vector with its top w bits set, and the rotations of both
+/// within n bits (at most 2n lanes). Returns true when two lanes
+/// differ on some wire. v is unsorted by the strict check while the
+/// top-w vector is a fixed point of every all-ascending circuit, so
+/// without descending comparators or exchanges the probe always
+/// refutes.
+template <typename Net>
+bool relabel_probe_refutes(const Net& net, std::uint64_t v) {
+  const wire_t n = net.width();
+  const auto weight = static_cast<unsigned>(std::popcount(v));
+  const std::uint64_t top = ((std::uint64_t{1} << weight) - 1) << (n - weight);
+  std::vector<std::uint64_t> lanes = {v, top};
+  for (const std::uint64_t seed : {v, top})
+    for (unsigned r = 1; r < n; ++r)
+      lanes.push_back(rotate_within(seed, r, n));
+  std::vector<std::uint64_t> words(n, 0);
+  for (std::size_t s = 0; s < lanes.size(); ++s)
+    for (wire_t w = 0; w < n; ++w) words[w] |= (lanes[s] >> w & 1u) << s;
+  evaluate_packed(net, words);
+  const std::uint64_t used = lanes.size() == 64
+                                 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << lanes.size()) - 1;
+  return std::any_of(words.begin(), words.end(), [used](std::uint64_t word) {
+    return (word & used) != 0 && (word & used) != used;
+  });
+}
+
+template <typename Net>
+SortingReport certify_sorting_impl(const Net& net,
+                                   const CertifyOptions& opts) {
+  Prepared prepared = prepare(net, opts);
+  const CompiledNetwork& compiled = *prepared.compiled;
+  std::optional<AnalyzerProof>& proof = prepared.proof;
+  const wire_t n = net.width();
+  SortingReport out;
+  // Where the analyzer runs anyway (Auto's first pass, the forced
+  // Analyze engine), a relabel proof decides without evaluating a
+  // vector, at any width. The ranks of a relabel sorter are unique, so
+  // they equal the sweep's.
+  if (opts.engine == CertifyEngine::Analyze ||
+      (opts.engine == CertifyEngine::Auto && opts.analyze_first)) {
+    if (!proof) proof = run_analyzer(compiled);
+    if (proof->verdict == AnalyzeVerdict::CertifiedUpToRelabel) {
+      SB_OBS_COUNT("kernel.relabel_analyze_proofs", 1);
+      out.verdict = SortingVerdict::SortingUpToRelabel;
+      out.ranks = Permutation(std::move(proof->relabel_ranks));
+      out.vectors_checked = all_vectors(n);
+      return out;
+    }
+  }
+  const ZeroOneReport strict = certify(compiled, opts, proof);
+  out.vectors_checked = strict.vectors_checked;
+  if (strict.sorts_all) {
+    out.verdict = SortingVerdict::Sorting;
+    return out;
+  }
+  out.failing_vector = strict.failing_vector;
+  // Past the sweep cap an unproven network keeps the strict verdict.
+  if (n > kSweepWidthCap) return out;
+  if (relabel_probe_refutes(net, *strict.failing_vector)) {
+    SB_OBS_COUNT("kernel.relabel_probe_refutes", 1);
+    return out;
+  }
+  RelabelReport relabeled = relabel_impl(net, opts.pool, opts.progress);
+  if (relabeled.sorts) {
+    out.verdict = SortingVerdict::SortingUpToRelabel;
+    out.failing_vector.reset();
+    out.ranks = std::move(relabeled.ranks);
+  }
+  return out;
+}
+
+}  // namespace
+
+RelabelReport zero_one_check_up_to_relabel(
+    const ComparatorNetwork& net, ThreadPool* pool,
+    const std::function<void()>& progress) {
+  return relabel_impl(net, pool, progress);
+}
+
+RelabelReport zero_one_check_up_to_relabel(
+    const RegisterNetwork& net, ThreadPool* pool,
+    const std::function<void()>& progress) {
+  return relabel_impl(net, pool, progress);
+}
+
+const char* sorting_verdict_name(SortingVerdict verdict) noexcept {
+  switch (verdict) {
+    case SortingVerdict::Sorting: return "sorting";
+    case SortingVerdict::SortingUpToRelabel: return "sorting-up-to-relabel";
+    case SortingVerdict::NotSorting: break;
+  }
+  return "not-sorting";
+}
+
+SortingReport certify_sorting(const ComparatorNetwork& net,
+                              const CertifyOptions& opts) {
+  return certify_sorting_impl(net, opts);
+}
+
+SortingReport certify_sorting(const RegisterNetwork& net,
+                              const CertifyOptions& opts) {
+  return certify_sorting_impl(net, opts);
 }
 
 }  // namespace shufflebound

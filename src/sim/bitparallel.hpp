@@ -92,8 +92,9 @@ struct CertifyOptions {
   std::uint64_t frontier_budget = kDefaultFrontierBudget;
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation/deadline hook: the frontier engine calls
-  /// it once per level, the sweep once per lane block (concurrently from
-  /// pool workers when a pool is set). Exceptions propagate.
+  /// it once per level, the sweep once per lane block and the relabel
+  /// sweep once per 64-vector block (concurrently from pool workers when
+  /// a pool is set). Exceptions propagate.
   std::function<void()> progress;
   /// Compile-once arena (sim/arena.hpp): when both fields are set, the
   /// network overloads fetch the compiled op table (for circuits, the
@@ -157,14 +158,59 @@ bool is_sorting_network(const RegisterNetwork& net,
 /// ranks[w] = final rank of wire w (ranks == identity iff the strict
 /// check would also pass). n <= kSweepWidthCap enforced; pass a pool to
 /// shard the sweep (per-shard expected tables, merged at the end - the
-/// result is identical to the sequential path).
+/// result is identical to the sequential path). `progress`, when set,
+/// runs once per 64-vector block (as CertifyOptions::progress);
+/// exceptions propagate. This is the full sweep; certify_sorting below
+/// reaches it only when neither the analyzer nor a weight-class probe
+/// decides first.
 struct RelabelReport {
   bool sorts = false;
   std::optional<Permutation> ranks;
 };
-RelabelReport zero_one_check_up_to_relabel(const ComparatorNetwork& net,
-                                           ThreadPool* pool = nullptr);
-RelabelReport zero_one_check_up_to_relabel(const RegisterNetwork& net,
-                                           ThreadPool* pool = nullptr);
+RelabelReport zero_one_check_up_to_relabel(
+    const ComparatorNetwork& net, ThreadPool* pool = nullptr,
+    const std::function<void()>& progress = {});
+RelabelReport zero_one_check_up_to_relabel(
+    const RegisterNetwork& net, ThreadPool* pool = nullptr,
+    const std::function<void()>& progress = {});
+
+/// What certify reports: a strict sorter, a sorter up to a fixed output
+/// rank assignment, or neither.
+enum class SortingVerdict : std::uint8_t {
+  Sorting,
+  SortingUpToRelabel,
+  NotSorting
+};
+
+/// "sorting" / "sorting-up-to-relabel" / "not-sorting" (the batch
+/// payload's words).
+const char* sorting_verdict_name(SortingVerdict verdict) noexcept;
+
+struct SortingReport {
+  SortingVerdict verdict = SortingVerdict::NotSorting;
+  /// NotSorting: the strict check's minimal failing 0/1 vector.
+  std::optional<std::uint64_t> failing_vector;
+  /// SortingUpToRelabel: ranks[w] = final rank of wire w.
+  std::optional<Permutation> ranks;
+  /// As ZeroOneReport::vectors_checked.
+  std::uint64_t vectors_checked = 0;
+};
+
+/// The one strict-then-relabel decision behind `certify` (CLI and batch
+/// engine). Where the analyzer runs (Auto with analyze_first, or the
+/// forced Analyze engine), its proof of sorting up to relabel decides at
+/// any width, with its ranks.
+/// Otherwise the strict zero_one_check runs with `opts`; if it fails and
+/// n <= kSweepWidthCap, the failing vector v and 2n - 1 more vectors of
+/// v's weight are evaluated in one 64-lane pass. A relabel sorter
+/// maps a whole weight class to one output, so two lanes that differ
+/// refute it. Only when every lane agrees does the full relabel sweep
+/// run (with opts.pool and opts.progress). Past the sweep cap an
+/// unproven network reports the strict verdict. Throws as
+/// zero_one_check does.
+SortingReport certify_sorting(const ComparatorNetwork& net,
+                              const CertifyOptions& opts);
+SortingReport certify_sorting(const RegisterNetwork& net,
+                              const CertifyOptions& opts);
 
 }  // namespace shufflebound

@@ -21,6 +21,7 @@
 #include "core/io.hpp"
 #include "networks/batcher.hpp"
 #include "networks/shuffle.hpp"
+#include "relabel_sorters.hpp"
 #include "service/json.hpp"
 #include "sim/batch.hpp"
 #include "util/prng.hpp"
@@ -531,6 +532,23 @@ TEST(ServiceEngine, PerJobTimeoutProducesErrorResultAndTelemetry) {
   EXPECT_EQ(telemetry_uint(run.telemetry, {"jobs", "count-sorted", "timed_out"}),
             1u);
   EXPECT_EQ(telemetry_uint(run.telemetry, {"cache", "entries"}), 0u);
+}
+
+TEST(ServiceEngine, CertifyTimesOutInsideTheRelabelSweep) {
+  // The strict check fails on the first vector block (the final exchange
+  // unsorts weight 1), nothing proves the relabel statically, and every
+  // probe agrees: the job's time goes to the 2^24-vector relabel sweep,
+  // which must honour the deadline.
+  JsonValue o = JsonValue::object();
+  o.set("id", "relabel");
+  o.set("op", "certify");
+  o.set("network", to_text(unprovable_relabel_sorter(24)));
+  o.set("timeout_ms", 50);
+  const BatchRun run = run_batch({o.dump()}, EngineConfig{});
+  ASSERT_EQ(run.lines.size(), 1u);
+  const JsonValue line = JsonValue::parse(run.lines[0]);
+  EXPECT_FALSE(line.find("ok")->as_bool());
+  EXPECT_EQ(line.find("error")->as_string(), "timeout");
 }
 
 TEST(ServiceEngine, SubmitAfterFinishIsRefused) {

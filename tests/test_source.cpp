@@ -256,5 +256,35 @@ TEST(Source, TreeMustDirectlyFollowItsStage) {
   EXPECT_TRUE(has_syntax_finding(lint_network_text(second_tree)));
 }
 
+// A network ends at its 'end' line. A non-blank, non-comment line after
+// it is a syntax-line error at that line, in every model, for the strict
+// parsers and the linter alike; blank and comment lines stay free.
+TEST(Source, TextAfterEndIsRejectedAtItsLine) {
+  std::ifstream in(std::filesystem::path(SB_TEST_DATA_DIR) /
+                   "iterated_sample.txt");
+  std::ostringstream iterated;
+  iterated << in.rdbuf();
+  const std::pair<std::string, std::size_t> cases[] = {
+      {"circuit 4\nlevel 0+1\nend\nlevel 1x2\n", 4},
+      {"register 2\nstep shuffle ; ops +\nend\n\n# note\nend\n", 6},
+      {iterated.str() + "stage perm identity\n", 17}};
+  for (const auto& [text, line] : cases) {
+    SCOPED_TRACE(text);
+    const std::optional<std::string> error = strict_error(text);
+    ASSERT_TRUE(error.has_value());
+    EXPECT_NE(error->find(" line " + std::to_string(line) +
+                          ": text after 'end'"),
+              std::string::npos)
+        << *error;
+    const LintReport report = lint_network_text(text);
+    const Diagnostic* finding = first_syntax_finding(report);
+    ASSERT_NE(finding, nullptr);
+    EXPECT_EQ(finding->rule, "syntax-line");
+    EXPECT_EQ(finding->line, line);
+  }
+  EXPECT_FALSE(
+      strict_error("circuit 4\nlevel 0+1\nend\n\n# trailing note\n"));
+}
+
 }  // namespace
 }  // namespace shufflebound

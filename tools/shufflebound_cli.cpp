@@ -265,25 +265,22 @@ int cmd_certify(int argc, char** argv) {
   // Register sorters are checked in their own model (they finish in
   // register order), everything else as a circuit (wire order).
   const auto certify = [&](const auto& net) {
-    const ZeroOneReport report = zero_one_check(net, opts);
-    if (report.sorts_all) {
-      // The vector counter saturates at 2^64 - 1; name the count instead.
-      const wire_t n = net.width();
-      if (n >= 64)
-        std::printf("SORTING NETWORK (all 2^%u 0/1 vectors sorted)\n", n);
-      else
-        std::printf("SORTING NETWORK (all %llu 0/1 vectors sorted)\n",
-                    static_cast<unsigned long long>(report.vectors_checked));
-      return 0;
-    }
-    // Falling back to the paper's general definition: a fixed output
-    // rank assignment is allowed. The relabel sweep enumerates all 2^n
-    // vectors, so skip it past the sweep cap and report the strict
-    // verdict.
-    if (net.width() <= kSweepWidthCap &&
-        zero_one_check_up_to_relabel(net, &pool).sorts) {
-      std::printf("SORTING NETWORK up to a fixed output rank assignment\n");
-      return 0;
+    const SortingReport report = certify_sorting(net, opts);
+    switch (report.verdict) {
+      case SortingVerdict::Sorting:
+        // The vector counter saturates at 2^64 - 1; name the count
+        // instead.
+        if (net.width() >= 64)
+          std::printf("SORTING NETWORK (all 2^%u 0/1 vectors sorted)\n",
+                      net.width());
+        else
+          std::printf("SORTING NETWORK (all %llu 0/1 vectors sorted)\n",
+                      static_cast<unsigned long long>(report.vectors_checked));
+        return 0;
+      case SortingVerdict::SortingUpToRelabel:
+        std::printf("SORTING NETWORK up to a fixed output rank assignment\n");
+        return 0;
+      case SortingVerdict::NotSorting: break;
     }
     std::printf("NOT a sorting network; failing 0/1 vector: 0x%llx\n",
                 static_cast<unsigned long long>(*report.failing_vector));
