@@ -488,11 +488,11 @@ std::uint64_t rotate_within(std::uint64_t v, unsigned r, wire_t n) {
 }
 
 /// Refutes "sorts up to relabel" from the strict failing vector `v`
-/// alone, n <= kSweepWidthCap. A relabel sorter maps every input of v's
-/// weight w to one output, so one 64-lane pass evaluates v, the
-/// weight-w vector with its top w bits set, and the rotations of both
-/// within n bits (at most 2n lanes). Returns true when two lanes
-/// differ on some wire. v is unsorted by the strict check while the
+/// alone, n < 64. A relabel sorter maps every input of v's weight w to
+/// one output, so one 64-lane pass evaluates v, the weight-w vector with
+/// its top w bits set, and the rotations of both within n bits (2n
+/// lanes, cut at 64 past n = 32). Returns true when two lanes differ on
+/// some wire. v is unsorted by the strict check while the
 /// top-w vector is a fixed point of every all-ascending circuit, so
 /// without descending comparators or exchanges the probe always
 /// refutes.
@@ -503,7 +503,7 @@ bool relabel_probe_refutes(const Net& net, std::uint64_t v) {
   const std::uint64_t top = ((std::uint64_t{1} << weight) - 1) << (n - weight);
   std::vector<std::uint64_t> lanes = {v, top};
   for (const std::uint64_t seed : {v, top})
-    for (unsigned r = 1; r < n; ++r)
+    for (unsigned r = 1; r < n && lanes.size() < 64; ++r)
       lanes.push_back(rotate_within(seed, r, n));
   std::vector<std::uint64_t> words(n, 0);
   for (std::size_t s = 0; s < lanes.size(); ++s)
@@ -547,10 +547,13 @@ SortingReport certify_sorting_impl(const Net& net,
     return out;
   }
   out.failing_vector = strict.failing_vector;
-  // Past the sweep cap an unproven network keeps the strict verdict.
-  if (n > kSweepWidthCap) return out;
   if (relabel_probe_refutes(net, *strict.failing_vector)) {
     SB_OBS_COUNT("kernel.relabel_probe_refutes", 1);
+    return out;
+  }
+  // Past the sweep cap nothing decides what the probe could not refute.
+  if (n > kSweepWidthCap) {
+    out.verdict = SortingVerdict::RelabelUndecided;
     return out;
   }
   RelabelReport relabeled = relabel_impl(net, opts.pool, opts.progress);
@@ -580,6 +583,7 @@ const char* sorting_verdict_name(SortingVerdict verdict) noexcept {
   switch (verdict) {
     case SortingVerdict::Sorting: return "sorting";
     case SortingVerdict::SortingUpToRelabel: return "sorting-up-to-relabel";
+    case SortingVerdict::RelabelUndecided: return "relabel-undecided";
     case SortingVerdict::NotSorting: break;
   }
   return "not-sorting";

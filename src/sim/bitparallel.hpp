@@ -175,20 +175,23 @@ RelabelReport zero_one_check_up_to_relabel(
     const std::function<void()>& progress = {});
 
 /// What certify reports: a strict sorter, a sorter up to a fixed output
-/// rank assignment, or neither.
+/// rank assignment, neither, or - past the relabel sweep's cap - a
+/// strict non-sorter whose relabel sorting nothing decided.
 enum class SortingVerdict : std::uint8_t {
   Sorting,
   SortingUpToRelabel,
-  NotSorting
+  NotSorting,
+  RelabelUndecided
 };
 
-/// "sorting" / "sorting-up-to-relabel" / "not-sorting" (the batch
-/// payload's words).
+/// "sorting" / "sorting-up-to-relabel" / "not-sorting" /
+/// "relabel-undecided" (the batch payload's words).
 const char* sorting_verdict_name(SortingVerdict verdict) noexcept;
 
 struct SortingReport {
   SortingVerdict verdict = SortingVerdict::NotSorting;
-  /// NotSorting: the strict check's minimal failing 0/1 vector.
+  /// NotSorting, RelabelUndecided: the strict check's minimal failing
+  /// 0/1 vector.
   std::optional<std::uint64_t> failing_vector;
   /// SortingUpToRelabel: ranks[w] = final rank of wire w.
   std::optional<Permutation> ranks;
@@ -200,14 +203,14 @@ struct SortingReport {
 /// engine). Where the analyzer runs (Auto with analyze_first, or the
 /// forced Analyze engine), its proof of sorting up to relabel decides at
 /// any width, with its ranks.
-/// Otherwise the strict zero_one_check runs with `opts`; if it fails and
-/// n <= kSweepWidthCap, the failing vector v and 2n - 1 more vectors of
-/// v's weight are evaluated in one 64-lane pass. A relabel sorter
-/// maps a whole weight class to one output, so two lanes that differ
-/// refute it. Only when every lane agrees does the full relabel sweep
-/// run (with opts.pool and opts.progress). Past the sweep cap an
-/// unproven network reports the strict verdict. Throws as
-/// zero_one_check does.
+/// Otherwise the strict zero_one_check runs with `opts`; if it fails, the
+/// failing vector v and up to 63 more vectors of v's weight are
+/// evaluated in one 64-lane pass. A relabel sorter maps a whole weight
+/// class to one output, so two lanes that differ refute it (NotSorting).
+/// When every lane agrees, the full relabel sweep decides for n <=
+/// kSweepWidthCap (with opts.pool and opts.progress); past that cap the
+/// verdict is RelabelUndecided, with the strict failing vector. Throws
+/// as zero_one_check does.
 SortingReport certify_sorting(const ComparatorNetwork& net,
                               const CertifyOptions& opts);
 SortingReport certify_sorting(const RegisterNetwork& net,

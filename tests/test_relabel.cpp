@@ -395,5 +395,35 @@ TEST(CertifySorting, ForcedEnginesKeepTheirOwnPath) {
                std::runtime_error);
 }
 
+TEST(CertifySorting, PastTheSweepCapAnUnrefutedRelabelSorterIsUndecided) {
+  // n = 32: the strict check reaches the frontier engine, the relabel
+  // sweep does not. All 64 probe lanes agree, as they must on a relabel
+  // sorter, so nothing decides and the strict failing vector is kept.
+  const ComparatorNetwork net = unprovable_relabel_sorter(32);
+  ASSERT_EQ(analyze(net).verdict, AnalyzeVerdict::Inconclusive);
+  const Decision got = decide(net);
+  EXPECT_EQ(got.report.verdict, SortingVerdict::RelabelUndecided);
+  EXPECT_STREQ(sorting_verdict_name(got.report.verdict), "relabel-undecided");
+  EXPECT_EQ(got.probe_refutes, 0u);
+  EXPECT_EQ(got.sweeps, 0u);
+  EXPECT_EQ(got.report.failing_vector, zero_one_check(net).failing_vector);
+  EXPECT_FALSE(got.report.ranks.has_value());
+}
+
+TEST(CertifySorting, PastTheSweepCapTheProbeStillRefutes) {
+  // An all-ascending non-sorter on n = 32 and on n = 40, where 2n probe
+  // lanes would not fit one word and the probe keeps its first 64.
+  for (const wire_t n : {wire_t{32}, wire_t{40}}) {
+    SCOPED_TRACE(n);
+    const ComparatorNetwork net =
+        drop_one_comparator(ascending_bitonic_window(n), 5);
+    const Decision got = decide(net);
+    EXPECT_EQ(got.report.verdict, SortingVerdict::NotSorting);
+    EXPECT_EQ(got.probe_refutes, 1u);
+    EXPECT_EQ(got.sweeps, 0u);
+    EXPECT_EQ(got.report.failing_vector, zero_one_check(net).failing_vector);
+  }
+}
+
 }  // namespace
 }  // namespace shufflebound

@@ -280,6 +280,15 @@ int cmd_certify(int argc, char** argv) {
       case SortingVerdict::SortingUpToRelabel:
         std::printf("SORTING NETWORK up to a fixed output rank assignment\n");
         return 0;
+      case SortingVerdict::RelabelUndecided:
+        // Like a missing static proof: no answer, so no verdict exit code.
+        std::printf(
+            "NOT a strict sorting network; failing 0/1 vector: 0x%llx\n"
+            "sorting up to a fixed output rank assignment: undecided (the "
+            "relabel sweep stops at n = %u)\n",
+            static_cast<unsigned long long>(*report.failing_vector),
+            kSweepWidthCap);
+        return 2;
       case SortingVerdict::NotSorting: break;
     }
     std::printf("NOT a sorting network; failing 0/1 vector: 0x%llx\n",
