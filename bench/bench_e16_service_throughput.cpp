@@ -85,7 +85,8 @@ StreamStats run_stream(const std::vector<JobSpec>& jobs, std::size_t workers,
     for (const JobSpec& spec : jobs) engine.submit(spec);
     engine.finish();
     for (std::size_t k = 0; k < kJobKindCount; ++k)
-      stats.cache_hits += engine.telemetry().kind(k).cache_hits.load();
+      stats.cache_hits +=
+          engine.job_counters(static_cast<JobKind>(k)).cache_hits.value();
   }
   stats.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)

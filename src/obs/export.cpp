@@ -36,6 +36,22 @@ JsonValue metrics_to_json() {
   return out;
 }
 
+JsonValue histogram_to_json(const Histogram& histogram) {
+  JsonValue out = JsonValue::object();
+  out.set("count", histogram.count());
+  out.set("sum_us", histogram.sum_us());
+  out.set("max_us", histogram.max_us());
+  JsonValue buckets = JsonValue::object();
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    const std::uint64_t n = histogram.bucket(b);
+    if (n == 0) continue;
+    const std::uint64_t upper = (std::uint64_t{1} << (b + 1)) - 1;
+    buckets.set("le_" + std::to_string(upper) + "us", n);
+  }
+  out.set("buckets", std::move(buckets));
+  return out;
+}
+
 namespace {
 
 bool write_document(const JsonValue& doc, const std::string& path,

@@ -1,22 +1,30 @@
 // Low-overhead tracing and metrics core - the observability layer's
 // in-process substrate (exporters live in obs/export.hpp).
 //
-// Two primitives, both safe to call from any thread:
+// Three primitives, all safe to call from any thread:
 //
 //  * Span: an RAII scope that records a complete (start, duration) event
 //    into a per-thread buffer. Each thread appends to its own buffer
 //    behind its own mutex, so recording never contends with other
 //    recording threads - the only contention is with an exporter
 //    draining the buffers, which happens once per run.
-//  * Counter: a named relaxed-atomic counter (or gauge, via set()),
-//    registered once by name and bumped lock-free afterwards.
+//  * Counter: a relaxed-atomic counter (or gauge, via set()). The
+//    registry owns the process-wide ones, by name; a component owns its
+//    own as members (the engine's per-kind job counts, the caches' and
+//    the server's stats) and renders them in its own documents. An owned
+//    counter may name the process-wide counter it feeds: while tracing
+//    is on, add() also adds there, and only then registers the name.
+//  * Histogram: an owned, always-on latency histogram in power-of-two
+//    microsecond buckets (the engine's per-kind latency and cache-probe
+//    times).
 //
-// Everything is gated on one process-global atomic enable flag, off by
-// default. A disabled Span construction is a single relaxed load and no
-// stores; the SB_OBS_COUNT macro likewise loads the flag before touching
-// (or lazily registering) its counter. E16/E17 record the disabled-path
-// cost as a gated bench metric, and the determinism tests in
-// tests/test_obs.cpp hold instrumented code to "observability never
+// Spans and the process-wide counters are gated on one process-global
+// atomic enable flag, off by default. A disabled Span construction is a
+// single relaxed load and no stores; the SB_OBS_COUNT macro and a
+// feeding owned counter likewise load the flag before touching (or
+// lazily registering) the process-wide counter. E16/E17 record the
+// disabled-path cost as a gated bench metric, and the determinism tests
+// in tests/test_obs.cpp hold instrumented code to "observability never
 // perturbs results".
 //
 // Span names and categories are `const char*` and must point at storage
@@ -31,7 +39,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -54,13 +64,19 @@ struct SpanRecord {
   std::uint32_t tid = 0;
 };
 
-/// Monotonic counter / gauge. Address-stable once registered (the
-/// registry hands out references that stay valid across reset()).
+/// Monotonic counter / gauge. Registry counters are address-stable once
+/// registered (the registry hands out references that stay valid across
+/// reset()). An owned counter built with a name feeds the process-wide
+/// counter of that name while tracing is on.
 class Counter {
  public:
-  void add(std::uint64_t n) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
+  Counter() = default;
+  /// `feeds` must outlive the counter (a string literal in practice).
+  explicit Counter(const char* feeds) noexcept : feeds_(feeds) {}
+
+  /// Defined below the registry: a feeding counter resolves its
+  /// process-wide counter there on its first traced add.
+  void add(std::uint64_t n);
   /// Gauge-style overwrite (lane widths, worker counts).
   void set(std::uint64_t v) noexcept {
     value_.store(v, std::memory_order_relaxed);
@@ -72,6 +88,50 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
+  const char* feeds_ = nullptr;
+  std::atomic<Counter*> fed_{nullptr};  // feeds_'s counter, once resolved
+};
+
+/// Latency histogram: one bucket per power-of-two microsecond band,
+/// [2^b, 2^(b+1)) us for b < 31 (0 us lands in bucket 0, everything from
+/// 2^31 us in the last), plus count, sum and max. Always on; rendered by
+/// histogram_to_json (obs/export.hpp).
+class Histogram {
+ public:
+  static constexpr std::size_t kBuckets = 32;
+
+  void record(std::uint64_t micros) noexcept {
+    const std::size_t b =
+        micros == 0 ? 0
+                    : std::min<std::size_t>(kBuckets - 1,
+                                            std::bit_width(micros) - 1);
+    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(micros, std::memory_order_relaxed);
+    std::uint64_t seen = max_.load(std::memory_order_relaxed);
+    while (micros > seen &&
+           !max_.compare_exchange_weak(seen, micros, std::memory_order_relaxed)) {
+    }
+  }
+
+  std::uint64_t count() const noexcept {
+    return count_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t sum_us() const noexcept {
+    return sum_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t max_us() const noexcept {
+    return max_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t bucket(std::size_t b) const noexcept {
+    return buckets_[b].load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> sum_{0};
+  std::atomic<std::uint64_t> max_{0};
 };
 
 /// Microseconds since the process's observability epoch (first call).
@@ -218,6 +278,17 @@ inline void set_enabled(bool on) noexcept { registry().set_enabled(on); }
 inline void reset() { registry().reset(); }
 inline Counter& counter(std::string_view name) {
   return registry().counter(name);
+}
+
+inline void Counter::add(std::uint64_t n) {
+  value_.fetch_add(n, std::memory_order_relaxed);
+  if (feeds_ == nullptr || !enabled()) return;
+  Counter* fed = fed_.load(std::memory_order_acquire);
+  if (fed == nullptr) {
+    fed = &counter(feeds_);
+    fed_.store(fed, std::memory_order_release);
+  }
+  fed->add(n);
 }
 
 /// Records a complete span with an explicit start - for synthetic spans

@@ -12,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/obs.hpp"
-
 namespace shufflebound {
 namespace {
 
@@ -177,7 +175,7 @@ void DiskBackedCache::open_or_recover() {
     log_.read(magic, sizeof(magic));
     if (!log_ || std::memcmp(magic, kLogMagic, sizeof(magic)) != 0) {
       // Wrong file type entirely: refuse to trust any of it.
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      dropped_records_.add(1);
       log_.close();
       log_.open(path, std::ios::out | std::ios::trunc | std::ios::binary);
       log_.write(kLogMagic, sizeof(kLogMagic));
@@ -220,7 +218,7 @@ void DiskBackedCache::open_or_recover() {
         // Index describes a log we do not have (e.g. log truncated behind
         // its back): distrust the snapshot entirely, rebuild from the log.
         indexed_log_end = sizeof(kLogMagic);
-        dropped_records_.fetch_add(count, std::memory_order_relaxed);
+        dropped_records_.add(count);
       } else {
         for (std::uint64_t i = 0; i < count; ++i) {
           const std::uint8_t* e = blob.data() + 24 + i * kIdxEntry;
@@ -239,18 +237,18 @@ void DiskBackedCache::open_or_recover() {
           if (entry.offset + record_size(entry.payload_len) > indexed_log_end ||
               !read_record_at(log_, entry.offset, file_size, &expect, got,
                               payload)) {
-            dropped_records_.fetch_add(1, std::memory_order_relaxed);
+            dropped_records_.add(1);
             continue;
           }
           lru_.push_back(expect);
           entry.lru = std::prev(lru_.end());
           live_bytes_ += record_size(entry.payload_len);
           index_.insert_or_assign(expect, entry);
-          recovered_.fetch_add(1, std::memory_order_relaxed);
+          recovered_.add(1);
         }
       }
     } else if (!blob.empty()) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      dropped_records_.add(1);
     }
   }
 
@@ -262,7 +260,7 @@ void DiskBackedCache::open_or_recover() {
     CacheKey key;
     std::string payload;
     if (!read_record_at(log_, scan, file_size, nullptr, key, payload)) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      dropped_records_.add(1);
       break;
     }
     const auto it = index_.find(key);
@@ -281,7 +279,7 @@ void DiskBackedCache::open_or_recover() {
       live_bytes_ += record_size(entry.payload_len);
       index_.insert_or_assign(key, entry);
     }
-    recovered_.fetch_add(1, std::memory_order_relaxed);
+    recovered_.add(1);
     scan += record_size(static_cast<std::uint32_t>(payload.size()));
   }
 
@@ -289,7 +287,7 @@ void DiskBackedCache::open_or_recover() {
   if (scan < file_size) {
     log_.close();
     if (!truncate_file(path, scan))
-      io_errors_.fetch_add(1, std::memory_order_relaxed);
+      io_errors_.add(1);
     log_.open(path, std::ios::in | std::ios::out | std::ios::binary);
     if (!log_.is_open())
       throw std::runtime_error("disk cache: cannot reopen " + path);
@@ -299,8 +297,7 @@ void DiskBackedCache::open_or_recover() {
 
 std::optional<JsonValue> DiskBackedCache::lookup(const CacheKey& key) {
   if (std::optional<JsonValue> hit = ResultCache::lookup(key)) {
-    mem_hits_.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("server.cache_mem_hits", 1);
+    mem_hits_.add(1);
     {
       // Memory hits must still refresh disk recency, or the hottest keys
       // (always promoted, so always mem hits) would look coldest to the
@@ -321,8 +318,7 @@ std::optional<JsonValue> DiskBackedCache::lookup(const CacheKey& key) {
         try {
           JsonValue value = JsonValue::parse(*payload);
           lru_.splice(lru_.end(), lru_, it->second.lru);  // refresh recency
-          disk_hits_.fetch_add(1, std::memory_order_relaxed);
-          SB_OBS_COUNT("server.cache_disk_hits", 1);
+          disk_hits_.add(1);
           // Promote into the memory tier; the next lookup is a mem hit.
           ResultCache::insert(key, value);
           return value;
@@ -331,11 +327,10 @@ std::optional<JsonValue> DiskBackedCache::lookup(const CacheKey& key) {
         }
       }
       drop_locked(key, 0);
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      dropped_records_.add(1);
     }
   }
-  tier_misses_.fetch_add(1, std::memory_order_relaxed);
-  SB_OBS_COUNT("server.cache_misses", 1);
+  tier_misses_.add(1);
   return std::nullopt;
 }
 
@@ -344,10 +339,10 @@ void DiskBackedCache::insert(const CacheKey& key, JsonValue payload) {
   ResultCache::insert(key, std::move(payload));
   std::scoped_lock lock(disk_mutex_);
   if (!append_record_locked(key, serialized)) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     return;
   }
-  inserts_.fetch_add(1, std::memory_order_relaxed);
+  inserts_.add(1);
   evict_to_cap_locked();
   maybe_compact_locked();
 }
@@ -357,7 +352,7 @@ void DiskBackedCache::invalidate(const CacheKey& key) {
   std::scoped_lock lock(disk_mutex_);
   if (index_.find(key) != index_.end()) {
     drop_locked(key, 0);
-    tier_invalidations_.fetch_add(1, std::memory_order_relaxed);
+    tier_invalidations_.add(1);
   }
 }
 
@@ -413,7 +408,7 @@ void DiskBackedCache::drop_locked(const CacheKey& key,
   lru_.erase(it->second.lru);
   index_.erase(it);
   if (counter_delta != 0)
-    evictions_.fetch_add(counter_delta, std::memory_order_relaxed);
+    evictions_.add(counter_delta);
 }
 
 void DiskBackedCache::evict_to_cap_locked() {
@@ -437,7 +432,7 @@ void DiskBackedCache::maybe_compact_locked() {
   const std::string tmp_path = log_path() + ".tmp";
   std::ofstream fresh(tmp_path, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!fresh.is_open()) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     return;
   }
   fresh.write(kLogMagic, sizeof(kLogMagic));
@@ -448,7 +443,7 @@ void DiskBackedCache::maybe_compact_locked() {
     const auto it = index_.find(key);
     std::optional<std::string> payload = read_payload_locked(key, it->second);
     if (!payload) {
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
+      dropped_records_.add(1);
       continue;
     }
     const auto payload_len = static_cast<std::uint32_t>(payload->size());
@@ -465,14 +460,14 @@ void DiskBackedCache::maybe_compact_locked() {
   }
   fresh.flush();
   if (!fresh) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     std::remove(tmp_path.c_str());
     return;
   }
   fresh.close();
   log_.close();
   if (std::rename(tmp_path.c_str(), log_path().c_str()) != 0) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     std::remove(tmp_path.c_str());
     log_.open(log_path(), std::ios::in | std::ios::out | std::ios::binary);
     return;
@@ -496,7 +491,7 @@ void DiskBackedCache::maybe_compact_locked() {
       it = index_.erase(it);
     }
   }
-  compactions_.fetch_add(1, std::memory_order_relaxed);
+  compactions_.add(1);
   save_index_locked();
 }
 
@@ -528,36 +523,36 @@ void DiskBackedCache::save_index_locked() {
   const std::string tmp_path = index_path() + ".tmp";
   std::ofstream out(tmp_path, std::ios::out | std::ios::trunc | std::ios::binary);
   if (!out.is_open()) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     return;
   }
   out.write(reinterpret_cast<const char*>(blob.data()),
             static_cast<std::streamsize>(blob.size()));
   out.flush();
   if (!out) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     std::remove(tmp_path.c_str());
     return;
   }
   out.close();
   if (std::rename(tmp_path.c_str(), index_path().c_str()) != 0) {
-    io_errors_.fetch_add(1, std::memory_order_relaxed);
+    io_errors_.add(1);
     std::remove(tmp_path.c_str());
   }
 }
 
 DiskBackedCache::TierStats DiskBackedCache::tier_stats() const {
   TierStats stats;
-  stats.mem_hits = mem_hits_.load(std::memory_order_relaxed);
-  stats.disk_hits = disk_hits_.load(std::memory_order_relaxed);
-  stats.misses = tier_misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.invalidations = tier_invalidations_.load(std::memory_order_relaxed);
-  stats.dropped_records = dropped_records_.load(std::memory_order_relaxed);
-  stats.recovered = recovered_.load(std::memory_order_relaxed);
-  stats.compactions = compactions_.load(std::memory_order_relaxed);
-  stats.io_errors = io_errors_.load(std::memory_order_relaxed);
+  stats.mem_hits = mem_hits_.value();
+  stats.disk_hits = disk_hits_.value();
+  stats.misses = tier_misses_.value();
+  stats.inserts = inserts_.value();
+  stats.evictions = evictions_.value();
+  stats.invalidations = tier_invalidations_.value();
+  stats.dropped_records = dropped_records_.value();
+  stats.recovered = recovered_.value();
+  stats.compactions = compactions_.value();
+  stats.io_errors = io_errors_.value();
   {
     std::scoped_lock lock(disk_mutex_);
     stats.entries = index_.size();

@@ -50,7 +50,6 @@
 // I/O.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <list>
@@ -59,6 +58,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
 #include "service/cache.hpp"
 #include "util/crc32.hpp"
 
@@ -151,16 +151,16 @@ class DiskBackedCache final : public ResultCache {
   std::uint64_t append_offset_ = 0;  // end of the last good record
   std::uint64_t live_bytes_ = 0;
 
-  std::atomic<std::uint64_t> mem_hits_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
-  std::atomic<std::uint64_t> tier_misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> tier_invalidations_{0};
-  std::atomic<std::uint64_t> dropped_records_{0};
-  std::atomic<std::uint64_t> recovered_{0};
-  std::atomic<std::uint64_t> compactions_{0};
-  std::atomic<std::uint64_t> io_errors_{0};
+  obs::Counter mem_hits_{"server.cache_mem_hits"};
+  obs::Counter disk_hits_{"server.cache_disk_hits"};
+  obs::Counter tier_misses_{"server.cache_misses"};
+  obs::Counter inserts_;
+  obs::Counter evictions_;
+  obs::Counter tier_invalidations_;
+  obs::Counter dropped_records_;
+  obs::Counter recovered_;
+  obs::Counter compactions_;
+  obs::Counter io_errors_;
 };
 
 // crc32_ieee - the CRC the log and index use, exposed for the corruption

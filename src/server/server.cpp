@@ -201,8 +201,7 @@ void Server::accept_connection() {
     conn->id = next_conn_id_++;
     conns_.emplace(conn->id, conn);
   }
-  conns_accepted_.fetch_add(1, std::memory_order_relaxed);
-  SB_OBS_COUNT("server.conns_accepted", 1);
+  conns_accepted_.add(1);
   conn->reader = std::thread([this, conn] { reader_loop(conn); });
 }
 
@@ -219,8 +218,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   // parsed; the connection keeps serving the lines after it.
   const auto reject_too_large = [&] {
     ++line_number;
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("server.requests", 1);
+    requests_.add(1);
     deliver(conn, ticket(),
             error_line("line-" + std::to_string(line_number), "invalid",
                        "too_large",
@@ -287,8 +285,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
 void Server::handle_line(const std::shared_ptr<Connection>& conn,
                          const std::string& line, std::uint64_t line_number,
                          std::uint32_t ticket) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  SB_OBS_COUNT("server.requests", 1);
+  requests_.add(1);
   SB_OBS_SPAN("server", "request");
   // One JSON parse per line: the server-answered ops, the rejection
   // lines and the job spec all read this document.
@@ -311,7 +308,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
 
   const std::string reject_op = op.empty() ? "invalid" : op;
   if (draining_.load(std::memory_order_relaxed)) {
-    rejected_draining_.fetch_add(1, std::memory_order_relaxed);
+    rejected_draining_.add(1);
     deliver(conn, ticket,
             error_line(id, reject_op, "draining", "server is shutting down"),
             /*engine_result=*/false);
@@ -333,8 +330,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     }
   }
   if (over_cap) {
-    overloaded_.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("server.overloaded", 1);
+    overloaded_.add(1);
     deliver(conn, ticket,
             error_line(id, reject_op, "overloaded",
                        "connection in-flight limit reached"),
@@ -362,13 +358,12 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     --conn->inflight;  // the reserved slot was never used
   }
   if (admission == AnalysisEngine::Admission::QueueFull) {
-    overloaded_.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("server.overloaded", 1);
+    overloaded_.add(1);
     deliver(conn, ticket,
             error_line(id, reject_op, "overloaded", "engine queue saturated"),
             /*engine_result=*/false);
   } else {
-    rejected_draining_.fetch_add(1, std::memory_order_relaxed);
+    rejected_draining_.add(1);
     deliver(conn, ticket,
             error_line(id, reject_op, "draining", "server is shutting down"),
             /*engine_result=*/false);
@@ -437,12 +432,10 @@ JsonValue Server::stats_json() {
     std::scoped_lock lock(conn_mutex_);
     server.set("connections", conns_.size());
   }
-  server.set("conns_accepted",
-             conns_accepted_.load(std::memory_order_relaxed));
-  server.set("requests", requests_.load(std::memory_order_relaxed));
-  server.set("overloaded", overloaded_.load(std::memory_order_relaxed));
-  server.set("rejected_draining",
-             rejected_draining_.load(std::memory_order_relaxed));
+  server.set("conns_accepted", conns_accepted_.value());
+  server.set("requests", requests_.value());
+  server.set("overloaded", overloaded_.value());
+  server.set("rejected_draining", rejected_draining_.value());
   server.set("draining", draining_.load(std::memory_order_relaxed));
   out.set("server", std::move(server));
   return out;

@@ -22,6 +22,10 @@
 //               -> shared result sink -- route by JobSpec::client_tag
 //     -> per-connection ticket reorder buffer -> socket write
 //
+//   `stats` <-- the engine's telemetry document (its disk-backed cache
+//        adds the tier counters under cache.disk) + the server's own
+//        obs counters (connections, requests, rejections)
+//
 // Hit path. When a connection has nothing in flight, its reader thread
 // runs AnalysisEngine::probe itself: spec check, network parse, cache
 // key, lookup and (for refute) the witness replay - the same step a
@@ -78,6 +82,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "server/diskcache.hpp"
 #include "service/engine.hpp"
 
@@ -190,10 +195,10 @@ class Server {
   std::uint32_t next_conn_id_ = 1;
 
   std::atomic<bool> draining_{false};
-  std::atomic<std::uint64_t> conns_accepted_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> overloaded_{0};
-  std::atomic<std::uint64_t> rejected_draining_{0};
+  obs::Counter conns_accepted_{"server.conns_accepted"};
+  obs::Counter requests_{"server.requests"};
+  obs::Counter overloaded_{"server.overloaded"};
+  obs::Counter rejected_draining_;
 };
 
 /// Creates a self-pipe and installs a SIGTERM (and SIGINT) handler that

@@ -9,11 +9,11 @@ std::optional<JsonValue> ResultCache::lookup(const CacheKey& key) {
     std::shared_lock lock(mutex_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      hits_.add(1);
       return it->second;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  misses_.add(1);
   return std::nullopt;
 }
 
@@ -25,28 +25,20 @@ void ResultCache::insert(const CacheKey& key, JsonValue payload) {
 void ResultCache::invalidate(const CacheKey& key) {
   std::unique_lock lock(mutex_);
   if (entries_.erase(key) != 0)
-    invalidations_.fetch_add(1, std::memory_order_relaxed);
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.invalidations = invalidations_.load(std::memory_order_relaxed);
-  {
-    std::shared_lock lock(mutex_);
-    stats.entries = entries_.size();
-  }
-  return stats;
+    invalidations_.add(1);
 }
 
 JsonValue ResultCache::stats_to_json() const {
-  const Stats stats = this->stats();
+  std::uint64_t entries = 0;
+  {
+    std::shared_lock lock(mutex_);
+    entries = entries_.size();
+  }
   JsonValue out = JsonValue::object();
-  out.set("hits", stats.hits);
-  out.set("misses", stats.misses);
-  out.set("invalidations", stats.invalidations);
-  out.set("entries", stats.entries);
+  out.set("hits", hits_.value());
+  out.set("misses", misses_.value());
+  out.set("invalidations", invalidations_.value());
+  out.set("entries", entries);
   return out;
 }
 

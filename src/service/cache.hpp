@@ -20,12 +20,12 @@
 // deterministic the duplicates are identical.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
 #include "service/fingerprint.hpp"
 #include "service/json.hpp"
 
@@ -54,13 +54,6 @@ struct CacheKeyHash {
 /// its memory tier). The engine only ever talks to the base interface.
 class ResultCache {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t entries = 0;
-  };
-
   virtual ~ResultCache() = default;
 
   /// Returns the cached payload, counting a hit or miss.
@@ -71,16 +64,15 @@ class ResultCache {
   /// Drops an entry that failed re-validation; counts an invalidation.
   virtual void invalidate(const CacheKey& key);
 
-  Stats stats() const;
-
+  /// {"hits","misses","invalidations","entries"}.
   virtual JsonValue stats_to_json() const;
 
  private:
   mutable std::shared_mutex mutex_;
   std::unordered_map<CacheKey, JsonValue, CacheKeyHash> entries_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> invalidations_{0};
+  obs::Counter hits_;
+  obs::Counter misses_;
+  obs::Counter invalidations_;
 };
 
 }  // namespace shufflebound

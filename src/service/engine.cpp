@@ -304,10 +304,11 @@ JsonValue search_payload(const JobSpec& spec, Clock::time_point deadline) {
 }
 
 /// What the engine adds to a job's run: the cache to probe and fill and
-/// the telemetry that counts witness revalidations.
+/// the counters of its cached-refutation replays.
 struct CacheTier {
   ResultCache& cache;
-  Telemetry& telemetry;
+  obs::Counter& replays;
+  obs::Counter& replay_failures;
 };
 
 /// Starts the job's result with the fields every result echoes.
@@ -333,11 +334,9 @@ void lookup_step(ProbedJob& job, CompilationArena& arena, CacheTier& tier) {
     // Cached refutations are not trusted: the witness is replayed
     // through the freshly parsed network before it is served.
     if (hit && job.spec.kind == JobKind::Refute) {
-      const bool valid = revalidate_refutation(*job.net, *hit, arena);
-      tier.telemetry.count_witness_revalidation(valid);
-      SB_OBS_COUNT("service.witness_revalidations", 1);
-      if (!valid) {
-        SB_OBS_COUNT("service.witness_revalidation_failures", 1);
+      tier.replays.add(1);
+      if (!revalidate_refutation(*job.net, *hit, arena)) {
+        tier.replay_failures.add(1);
         tier.cache.invalidate(key);
         hit.reset();
       }
@@ -557,9 +556,9 @@ AnalysisEngine::~AnalysisEngine() { finish(); }
 bool AnalysisEngine::submit(JobSpec spec) {
   spec.seq = next_seq_++;
   if (obs::enabled()) spec.submit_us = obs::now_us();
-  const std::size_t kind_index = static_cast<std::size_t>(spec.kind);
+  JobCounters& counters = counters_of(spec.kind);
   if (!queue_.push(ProbedJob{std::move(spec)})) return false;
-  telemetry_.kind(kind_index).submitted.fetch_add(1, std::memory_order_relaxed);
+  counters.submitted.add(1);
   return true;
 }
 
@@ -567,12 +566,11 @@ AnalysisEngine::Admission AnalysisEngine::try_submit_for(
     ProbedJob job, std::chrono::milliseconds wait) {
   job.spec.seq = next_seq_++;
   if (obs::enabled()) job.spec.submit_us = obs::now_us();
-  const std::size_t kind_index = static_cast<std::size_t>(job.spec.kind);
+  JobCounters& counters = counters_of(job.spec.kind);
   switch (queue_.try_push_until(std::move(job),
                                 std::chrono::steady_clock::now() + wait)) {
     case QueuePush::Ok:
-      telemetry_.kind(kind_index).submitted.fetch_add(
-          1, std::memory_order_relaxed);
+      counters.submitted.add(1);
       return Admission::Accepted;
     case QueuePush::Timeout: return Admission::QueueFull;
     case QueuePush::Closed: return Admission::Closed;
@@ -583,16 +581,14 @@ AnalysisEngine::Admission AnalysisEngine::try_submit_for(
 bool AnalysisEngine::probe(ProbedJob& job) {
   const auto start = Clock::now();
   const obs::Span job_span("service", job_kind_name(job.spec.kind));
-  CacheTier tier{*cache_, telemetry_};
+  CacheTier tier{*cache_, witness_replays_, witness_replay_failures_};
   probe_step(job, *arena_, config_.cache_enabled ? &tier : nullptr);
   if (!job.result) {
     job.charged = Clock::now() - start;
     return false;
   }
   // Answered without a queue hop: counted as the worker would count it.
-  telemetry_.kind(static_cast<std::size_t>(job.spec.kind))
-      .submitted.fetch_add(1, std::memory_order_relaxed);
-  SB_OBS_COUNT("service.jobs", 1);
+  counters_of(job.spec.kind).submitted.add(1);
   account(job, start);
   return true;
 }
@@ -618,14 +614,13 @@ void AnalysisEngine::process(ProbedJob job) {
   // One span per job, named by kind; the probe and execute phases nest
   // inside it in the trace.
   const obs::Span job_span("service", job_kind_name(spec.kind));
-  SB_OBS_COUNT("service.jobs", 1);
   const std::uint64_t timeout_ms =
       spec.timeout_ms != 0 ? spec.timeout_ms : config_.default_timeout_ms;
   const Clock::time_point deadline =
       timeout_ms == 0 ? Clock::time_point::max()
                       : start + std::chrono::milliseconds(timeout_ms);
 
-  CacheTier tier{*cache_, telemetry_};
+  CacheTier tier{*cache_, witness_replays_, witness_replay_failures_};
   if (!job.probed)
     probe_step(job, *arena_, config_.cache_enabled ? &tier : nullptr);
   const bool owner = !job.result && job.key && claim_key(job, deadline);
@@ -660,7 +655,7 @@ bool AnalysisEngine::claim_key(ProbedJob& job, Clock::time_point deadline) {
     // The owner has released the key: its insert (if it succeeded)
     // answers this job as a hit, else this worker claims the key.
     lock.unlock();
-    CacheTier tier{*cache_, telemetry_};
+    CacheTier tier{*cache_, witness_replays_, witness_replay_failures_};
     lookup_step(job, *arena_, tier);
     if (job.result) return false;
     lock.lock();
@@ -678,34 +673,48 @@ void AnalysisEngine::release_key(const CacheKey& key) {
 
 void AnalysisEngine::account(const ProbedJob& job, Clock::time_point start) {
   const JobResult& result = *job.result;
-  JobKindTelemetry& tk = telemetry_.kind(static_cast<std::size_t>(result.kind));
+  JobCounters& counters = counters_of(result.kind);
   if (result.ok) {
-    tk.completed.fetch_add(1, std::memory_order_relaxed);
+    counters.completed.add(1);
   } else {
-    tk.failed.fetch_add(1, std::memory_order_relaxed);
-    if (result.timed_out) tk.timed_out.fetch_add(1, std::memory_order_relaxed);
+    counters.failed.add(1);
+    if (result.timed_out) counters.timed_out.add(1);
   }
   const auto micros = [](Clock::duration d) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(d).count());
   };
-  // The probe is kept out of the latency histogram (tk.cache_probe).
-  tk.latency.record(
+  // The probe is kept out of the latency histogram (cache_probe).
+  counters.latency.record(
       micros(job.charged + (Clock::now() - start) - job.probe_time));
   if (!job.key) return;
-  tk.cache_probe.record(micros(job.probe_time));
-  if (job.hit) {
-    tk.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("service.cache_hits", 1);
-  } else {
-    tk.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("service.cache_misses", 1);
-  }
+  counters.cache_probe.record(micros(job.probe_time));
+  (job.hit ? counters.cache_hits : counters.cache_misses).add(1);
 }
 
 JsonValue AnalysisEngine::telemetry_to_json() const {
-  JsonValue out =
-      telemetry_.to_json(queue_.high_water(), cache_->stats_to_json());
+  JsonValue jobs = JsonValue::object();
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    const JobCounters& k = kinds_[i];
+    if (k.submitted.value() == 0) continue;
+    JsonValue entry = JsonValue::object();
+    entry.set("submitted", k.submitted.value());
+    entry.set("completed", k.completed.value());
+    entry.set("failed", k.failed.value());
+    entry.set("timed_out", k.timed_out.value());
+    entry.set("cache_hits", k.cache_hits.value());
+    entry.set("cache_misses", k.cache_misses.value());
+    entry.set("latency", obs::histogram_to_json(k.latency));
+    if (k.cache_probe.count() > 0)
+      entry.set("cache_probe", obs::histogram_to_json(k.cache_probe));
+    jobs.set(job_kind_name(static_cast<JobKind>(i)), std::move(entry));
+  }
+  JsonValue out = JsonValue::object();
+  out.set("jobs", std::move(jobs));
+  out.set("queue_high_water", static_cast<std::uint64_t>(queue_.high_water()));
+  out.set("witness_revalidations", witness_replays_.value());
+  out.set("witness_revalidation_failures", witness_replay_failures_.value());
+  out.set("cache", cache_->stats_to_json());
   out.set("queue_capacity", static_cast<std::uint64_t>(queue_.capacity()));
   out.set("workers", static_cast<std::uint64_t>(pool_.worker_count()));
   // The compile-once tier and the kernel path serving this engine's

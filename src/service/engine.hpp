@@ -8,6 +8,9 @@
 //                 \-> ResultCache keyed by network fingerprint + params
 //        --> result sink, as each job finishes
 //
+//   telemetry_to_json() <-- the obs counters and histograms the engine,
+//        its cache and its compile arena own (JobCounters per kind)
+//
 // Every job takes the same two steps. The probe step checks the spec,
 // parses the network, computes the cache key and looks it up (replaying
 // a cached refutation); it answers invalid specs, unparseable networks
@@ -48,6 +51,7 @@
 //    batches that rely on byte-identical output should run without them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -58,10 +62,10 @@
 #include <optional>
 #include <unordered_set>
 
+#include "obs/obs.hpp"
 #include "service/cache.hpp"
 #include "service/job.hpp"
 #include "service/queue.hpp"
-#include "service/telemetry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace shufflebound {
@@ -111,6 +115,26 @@ struct EngineConfig {
   std::shared_ptr<CompilationArena> arena;
 };
 
+/// One job kind's counters: the `jobs.<kind>` entry of the telemetry
+/// document. The cache outcomes and the admissions feed the process-wide
+/// `service.*` counters while tracing is on.
+struct JobCounters {
+  obs::Counter submitted{"service.jobs"};
+  obs::Counter completed;  // ok results
+  obs::Counter failed;     // error results (incl. invalid)
+  obs::Counter timed_out;
+  obs::Counter cache_hits{"service.cache_hits"};
+  obs::Counter cache_misses{"service.cache_misses"};
+  /// Job time EXCLUDING cache probes: parse + execute (or the cost of
+  /// serving from cache once probing is done). Keeping the probe out
+  /// means a warm batch's latency histogram reflects result delivery,
+  /// not lookup + revalidation cost - that lives in `cache_probe`.
+  obs::Histogram latency;
+  /// Cache lookup + (for refute hits) witness revalidation time, per
+  /// probe. Recorded only when the engine actually probed the cache.
+  obs::Histogram cache_probe;
+};
+
 class AnalysisEngine {
  public:
   /// `sink` receives every submitted job's result exactly once, as its
@@ -155,7 +179,9 @@ class AnalysisEngine {
   /// sink has seen every submitted job when this returns. Idempotent.
   void finish();
 
-  const Telemetry& telemetry() const noexcept { return telemetry_; }
+  const JobCounters& job_counters(JobKind kind) const {
+    return kinds_.at(static_cast<std::size_t>(kind));
+  }
   ResultCache& cache() noexcept { return *cache_; }
   std::size_t queue_high_water() const { return queue_.high_water(); }
   std::size_t worker_count() const noexcept { return pool_.worker_count(); }
@@ -184,6 +210,9 @@ class AnalysisEngine {
   static CacheKey search_cache_key(const JobSpec& spec);
 
  private:
+  JobCounters& counters_of(JobKind kind) {
+    return kinds_.at(static_cast<std::size_t>(kind));
+  }
   void worker_loop();
   void process(ProbedJob job);
   /// Counts a finished job: its outcome, cache hit or miss, latency
@@ -201,7 +230,10 @@ class AnalysisEngine {
   ResultSink sink_;
   std::shared_ptr<ResultCache> cache_;
   CompilationArena* arena_;  // config_.arena or the process-wide global
-  Telemetry telemetry_;
+  std::array<JobCounters, kJobKindCount> kinds_;  // indexed by JobKind
+  obs::Counter witness_replays_{"service.witness_revalidations"};
+  obs::Counter witness_replay_failures_{
+      "service.witness_revalidation_failures"};
   BoundedQueue<ProbedJob> queue_;
   std::atomic<std::uint64_t> next_seq_{0};
 

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "obs/obs.hpp"
-
 namespace shufflebound {
 
 namespace {
@@ -28,26 +26,23 @@ std::shared_ptr<const CompiledNetwork> CompilationArena::get_or_compile(
   Shard& shard = shard_for(key);
   std::scoped_lock lock(shard.mutex);
   if (const auto it = shard.tables.find(key); it != shard.tables.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    SB_OBS_COUNT("arena.hits", 1);
+    hits_.add(1);
     return it->second;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  SB_OBS_COUNT("arena.misses", 1);
+  misses_.add(1);
   auto table = std::make_shared<const CompiledNetwork>(compile());
-  networks_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(table->bytes(), std::memory_order_relaxed);
-  SB_OBS_COUNT("arena.bytes", table->bytes());
+  networks_.add(1);
+  bytes_.add(table->bytes());
   shard.tables.emplace(key, table);
   return table;
 }
 
 CompilationArena::Stats CompilationArena::stats() const noexcept {
   Stats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.networks = networks_.load(std::memory_order_relaxed);
-  out.bytes = bytes_.load(std::memory_order_relaxed);
+  out.hits = hits_.value();
+  out.misses = misses_.value();
+  out.networks = networks_.value();
+  out.bytes = bytes_.value();
   return out;
 }
 
@@ -56,10 +51,10 @@ void CompilationArena::clear() {
     std::scoped_lock lock(shard.mutex);
     shard.tables.clear();
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  networks_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
+  hits_.reset();
+  misses_.reset();
+  networks_.reset();
+  bytes_.reset();
 }
 
 CompilationArena& CompilationArena::global() {

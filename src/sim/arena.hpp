@@ -24,15 +24,14 @@
 //    itself stays below the service layer and never hashes networks.
 //  * Shards (16-way, keyed by the digest's low bits) keep concurrent
 //    workers off each other's locks; hits/misses/bytes are exposed as
-//    stats() and mirrored into obs counters (arena.hits, arena.misses,
-//    arena.bytes) for telemetry.
+//    stats() for telemetry, and feed the process-wide obs counters
+//    arena.hits, arena.misses and arena.bytes while tracing is on.
 //
 // Lifetime: views are shared_ptrs, so clear() (or arena destruction)
 // never invalidates a table a worker is still sweeping.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -40,6 +39,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
 #include "sim/compiled_net.hpp"
 
 namespace shufflebound {
@@ -105,10 +105,10 @@ class CompilationArena {
   }
 
   std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> networks_{0};
-  std::atomic<std::uint64_t> bytes_{0};
+  obs::Counter hits_{"arena.hits"};
+  obs::Counter misses_{"arena.misses"};
+  obs::Counter networks_;
+  obs::Counter bytes_{"arena.bytes"};
 };
 
 }  // namespace shufflebound

@@ -1,9 +1,11 @@
 # Fails when an obs counter registered under src/ is missing from the
 # counters table of docs/observability.md, or when that table names a
-# counter nothing under src/ registers. Every string-literal name passed
-# to SB_OBS_COUNT, SB_OBS_GAUGE or SB_OBS_TIME_COUNT must appear there in
-# full, in backticks, and every backticked name in the table's first
-# column must be one of those literals.
+# counter nothing under src/ registers. A counter is registered by a
+# string-literal name passed to SB_OBS_COUNT, SB_OBS_GAUGE or
+# SB_OBS_TIME_COUNT, or by the name an owned obs::Counter feeds (its
+# constructor literal: `obs::Counter hits_{"arena.hits"};`). Every such
+# name must appear there in full, in backticks, and every backticked name
+# in the table's first column must be one of them.
 #
 #   cmake -DSRC_DIR=<repo>/src -DDOC=<repo>/docs/observability.md \
 #         -P tests/check_obs_docs.cmake
@@ -18,7 +20,10 @@ foreach(source IN LISTS sources)
   string(REGEX MATCHALL
          "SB_OBS_(COUNT|GAUGE|TIME_COUNT)\\([ \t\r\n]*\"[^\"]+\""
          calls "${text}")
-  foreach(call IN LISTS calls)
+  string(REGEX MATCHALL
+         "Counter[ \t\r\n]+[A-Za-z_][A-Za-z_0-9]*[ \t\r\n]*[{(][ \t\r\n]*\"[^\"]+\""
+         owned "${text}")
+  foreach(call IN LISTS calls owned)
     string(REGEX REPLACE ".*\"([^\"]+)\"$" "\\1" name "${call}")
     list(APPEND names "${name}")
   endforeach()
@@ -27,7 +32,7 @@ list(REMOVE_DUPLICATES names)
 list(SORT names)
 list(LENGTH names count)
 if(count EQUAL 0)
-  message(FATAL_ERROR "no SB_OBS_* counter literals found under ${SRC_DIR}")
+  message(FATAL_ERROR "no obs counter names found under ${SRC_DIR}")
 endif()
 
 file(READ "${DOC}" doc)

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "networks/shuffle.hpp"
 #include "obs/export.hpp"
 #include "search/search.hpp"
+#include "server/client.hpp"
+#include "server/server.hpp"
 #include "service/engine.hpp"
 #include "service/json.hpp"
 #include "sim/bitparallel.hpp"
@@ -412,6 +415,54 @@ TEST_F(ObsTest, SearchPhaseSpansCoverTheSearch) {
   ASSERT_GT(total_us, 0u);
   EXPECT_GE(phases_us * 10, total_us * 9)
       << phases_us << " of " << total_us << " us";
+}
+
+// Components own their counters; with tracing off nothing reaches the
+// registry. An untraced engine run and an untraced server run of every
+// job kind (cold and warm, so cache hits and refutation replays happen
+// too) add no counter name and no count. Names earlier tests in this
+// process registered stay registered, at zero after reset().
+TEST_F(ObsTest, UntracedEngineAndServerRegisterNoCounter) {
+  const auto before = obs::registry().snapshot_counters();
+  const std::string sorter = to_text(bitonic_sorting_network(8));
+  Prng rng(7);
+  const std::string shuffle = to_text(random_shuffle_network(32, 8, rng));
+  std::ostringstream stream;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const char* op :
+         {"info", "certify", "count-sorted", "analyze", "lint"})
+      stream << R"({"op":")" << op << R"(","network":)" << json_quote(sorter)
+             << "}\n";
+    stream << R"({"op":"refute","network":)" << json_quote(shuffle) << "}\n"
+           << R"({"op":"search","n":4})" << "\nnot json\n";
+  }
+  {
+    EngineConfig config;
+    config.workers = 2;
+    AnalysisEngine engine(std::move(config), [](const JobResult&) {});
+    std::istringstream in(stream.str());
+    std::string line;
+    std::uint64_t line_number = 0;
+    while (std::getline(in, line))
+      ASSERT_TRUE(engine.submit(job_from_json_line(line, ++line_number)));
+    engine.finish();
+    EXPECT_EQ(engine.job_counters(JobKind::Refute).cache_hits.value(), 1u);
+  }
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.cache_dir = ::testing::TempDir() + "sb_obs_untraced_server";
+    Server server(std::move(config));
+    server.listen();
+    std::thread serving([&server] { server.run(); });
+    std::istringstream in(stream.str() + R"({"op":"stats"})" + "\n");
+    std::ostringstream out;
+    const ClientConfig client{"127.0.0.1", server.bound_port()};
+    EXPECT_EQ(run_client(client, in, out), 0);
+    server.request_shutdown();
+    serving.join();
+  }
+  EXPECT_EQ(obs::registry().snapshot_counters(), before);
 }
 
 }  // namespace
