@@ -18,21 +18,21 @@ AdversaryOptions adversary_options(const RefuteOptions& options) {
   return out;
 }
 
-RefutationResult finish(const AdversaryResult& adversary,
+RefutationResult finish(AdversaryResult adversary,
                         const RefuteOptions& options,
                         const std::function<bool(const Witness&)>& verify,
                         std::string scope_note) {
   RefutationResult result;
-  result.adversary = adversary;
   std::ostringstream detail;
   detail << scope_note << "; survivors " << adversary.survivors.size()
          << ", theorem floor " << adversary.theorem_bound;
   result.detail = detail.str();
+  result.adversary = std::move(adversary);
   std::optional<Certificate> cert;
   {
     SB_OBS_SPAN("refuter", "witness_build");
     SB_OBS_TIME_COUNT("refuter.phase_us.witness_build");
-    cert = make_certificate(adversary);
+    cert = make_certificate(result.adversary);
   }
   if (!cert) {
     result.status = RefutationStatus::TooFewSurvivors;
@@ -60,12 +60,10 @@ RefutationResult finish(const AdversaryResult& adversary,
 RefutationResult refute(const IteratedRdn& net, const RefuteOptions& options) {
   SB_OBS_SPAN("refuter", "refute");
   SB_OBS_TIME_COUNT("refuter.phase_us.refute");
-  const AdversaryResult adversary =
-      run_adversary(net, adversary_options(options));
   std::ostringstream note;
   note << "iterated RDN, " << net.stage_count() << " stage(s)";
   return finish(
-      adversary, options,
+      run_adversary(net, adversary_options(options)), options,
       [&](const Witness& w) {
         // Verify through the compiled kernel: the certificate's validity
         // must not depend on the same evaluator the adversary ran on.
@@ -83,20 +81,23 @@ RefutationResult refute(const RegisterNetwork& net,
     result.detail = "width must be a power of two >= 4";
     return result;
   }
-  if (!net.is_shuffle_based()) {
-    RefutationResult result;
-    result.detail =
-        "register network is not shuffle-based; the bound addresses the "
-        "shuffle-only (strict ascend) class";
-    return result;
+  IteratedRdn rdn;
+  {
+    SB_OBS_SPAN("refuter", "slice");
+    SB_OBS_TIME_COUNT("refuter.phase_us.slice");
+    if (!net.is_shuffle_based()) {
+      RefutationResult result;
+      result.detail =
+          "register network is not shuffle-based; the bound addresses the "
+          "shuffle-only (strict ascend) class";
+      return result;
+    }
+    rdn = shuffle_to_iterated_rdn(net, 0, ShuffleCheck::AlreadyChecked);
   }
-  const IteratedRdn rdn = shuffle_to_iterated_rdn(net);
-  const AdversaryResult adversary =
-      run_adversary(rdn, adversary_options(options));
   std::ostringstream note;
   note << "shuffle-based network, " << rdn.stage_count() << " chunk(s) of lg n";
   return finish(
-      adversary, options,
+      run_adversary(rdn, adversary_options(options)), options,
       [&](const Witness& w) {
         return check_witness(compile(net), w).refutes_sorting();
       },
@@ -137,12 +138,10 @@ RefutationResult refute(const ComparatorNetwork& net,
       if (last >= net.depth()) break;
     }
   }
-  const AdversaryResult adversary =
-      run_adversary(rdn, adversary_options(options));
   std::ostringstream note;
   note << "circuit sliced into " << chunks << " recognized RDN chunk(s)";
   return finish(
-      adversary, options,
+      run_adversary(rdn, adversary_options(options)), options,
       [&](const Witness& w) {
         return check_witness(compile(net), w).refutes_sorting();
       },

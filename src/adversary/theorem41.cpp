@@ -101,10 +101,9 @@ AdversaryResult run_adversary(const IteratedRdn& net,
       SB_OBS_SPAN("refuter", "lemma41_refine");
       SB_OBS_TIME_COUNT("refuter.phase_us.lemma41_refine");
       // Inlined lemma41() so the driver can carry the per-level progress
-      // hook (cooperative deadline).
-      if (auto err = stage.chunk.tree.validate(stage.chunk.net))
-        throw std::invalid_argument("lemma41: chunk is not an RDN: " + *err);
-      Lemma41Driver driver(stage.chunk.tree, cut_pattern, k);
+      // hook (cooperative deadline). IteratedRdn::add_stage validated the
+      // chunk against its tree, so it is not validated again here.
+      Lemma41Driver driver(stage.chunk.tree, std::move(cut_pattern), k);
       if (options.progress) driver.set_progress(options.progress);
       for (const Level& level : stage.chunk.net.levels())
         driver.feed_level(level);
@@ -149,17 +148,16 @@ AdversaryResult run_adversary(const IteratedRdn& net,
     survivor_at_slot.swap(next_survivor_at_slot);
 
     // rho applied to the chunk's output pattern gives the next cut pattern.
-    auto& symbols = cut_pattern.mutable_symbols();
-    for (wire_t slot = 0; slot < n; ++slot) {
-      const PatternSymbol out = lemma.output[slot];
+    for (PatternSymbol& out : lemma.output.mutable_symbols()) {
       if (out == chosen_symbol) {
-        symbols[slot] = sym_M(0);
+        out = sym_M(0);
       } else if (out < chosen_symbol) {
-        symbols[slot] = sym_S(0);
+        out = sym_S(0);
       } else {
-        symbols[slot] = sym_L(0);
+        out = sym_L(0);
       }
     }
+    cut_pattern = std::move(lemma.output);
   }
 
   result.survivors = result.input_pattern.set_of(sym_M(0));

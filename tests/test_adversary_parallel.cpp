@@ -273,6 +273,35 @@ TEST(AdversaryParallel, CircuitRefutePhasesCoverRefute) {
       << " us";
 }
 
+TEST(AdversaryParallel, RegisterRefutePhasesCoverRefute) {
+  // `make random-shuffle 4096 24 7`: two lg n-step chunks the refuter must
+  // convert into an iterated RDN (under `slice`) before the adversary runs.
+  Prng rng(7);
+  const RegisterNetwork net = random_shuffle_network(4096, 24, rng, {10, 5});
+  const auto value = [](const char* name) {
+    return obs::counter(name).value();
+  };
+  const char* const children[] = {
+      "refuter.phase_us.slice", "refuter.phase_us.adversary",
+      "refuter.phase_us.witness_build", "refuter.phase_us.witness_replay"};
+  const std::uint64_t refute_before = value("refuter.phase_us.refute");
+  std::uint64_t children_before = 0;
+  for (const char* name : children) children_before += value(name);
+  obs::set_enabled(true);
+  const RefutationResult result = refute(net);
+  obs::set_enabled(false);
+  ASSERT_EQ(result.status, RefutationStatus::Refuted);
+  const std::uint64_t refute_us = value("refuter.phase_us.refute") - refute_before;
+  std::uint64_t children_us = 0;
+  for (const char* name : children) children_us += value(name);
+  children_us -= children_before;
+  ASSERT_GT(refute_us, 0u);
+  EXPECT_GE(static_cast<double>(children_us),
+            0.9 * static_cast<double>(refute_us))
+      << "phase children " << children_us << " us of refute " << refute_us
+      << " us";
+}
+
 // -------------------------------------------------------------- sweep --
 
 TEST(Sweep, DeterministicAcrossParallelism) {
