@@ -114,7 +114,7 @@ void throughput_section() {
   };
   row(256, 2, "");
   row(1024, 2, "n1024");
-  if (!benchutil::quick()) row(4096, 2, "");
+  row(4096, 2, "n4096");
 }
 
 // ------------------------------------------------- parallel speedup --

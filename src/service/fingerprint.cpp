@@ -142,7 +142,7 @@ Fingerprint fingerprint(const IteratedRdn& net) {
     h.absorb(kTagStage);
     absorb_permutation(h, stage.pre);
     h.absorb(kTagTree);
-    const std::vector<wire_t> order = stage.chunk.tree.leaf_order();
+    const std::vector<wire_t>& order = stage.chunk.tree.leaf_order();
     h.absorb(order.size());
     for (const wire_t w : order) h.absorb(w);
     absorb_levels(h, stage.chunk.net);

@@ -70,6 +70,54 @@ TEST(RdnTree, ValidateRejectsDepthMismatch) {
   EXPECT_NE(chunk.tree.validate(sliced), std::nullopt);
 }
 
+TEST(RdnTree, LevelNodesAreLeafOrderBlocks) {
+  // The contract leaf_order() documents, which validate() and the Lemma 4.1
+  // driver rely on: the level-t nodes, in nodes_at_level order, own the
+  // consecutive 2^t-blocks of the leaf order, left child first.
+  Prng rng(31);
+  for (const std::uint32_t depth : {0u, 1u, 3u, 6u}) {
+    std::vector<wire_t> order(std::size_t{1} << depth);
+    std::iota(order.begin(), order.end(), 0u);
+    shuffle_in_place(order, rng);
+    const RdnTree tree = RdnTree::from_order(order);
+    ASSERT_EQ(tree.leaf_order(), order);
+    for (std::uint32_t t = 0; t <= depth; ++t) {
+      const std::vector<int> nodes = tree.nodes_at_level(t);
+      ASSERT_EQ(nodes.size(), order.size() >> t);
+      const std::size_t block = std::size_t{1} << t;
+      for (std::size_t b = 0; b < nodes.size(); ++b) {
+        const RdnTree::Node& node = tree.node(nodes[b]);
+        const std::vector<wire_t> expected(order.begin() + b * block,
+                                           order.begin() + (b + 1) * block);
+        EXPECT_EQ(node.wires, expected) << "depth " << depth << " t " << t;
+        if (t == 0) continue;
+        EXPECT_EQ(tree.node(node.left).wires,
+                  std::vector<wire_t>(expected.begin(),
+                                      expected.begin() + block / 2));
+      }
+    }
+  }
+}
+
+TEST(RdnTree, ValidateNamesTheFirstFault) {
+  ComparatorNetwork two_levels(4);
+  two_levels.add_level({Gate(0, 1, GateOp::CompareAsc)});
+  two_levels.add_level({Gate(0, 2, GateOp::CompareAsc)});
+  EXPECT_EQ(RdnTree::contiguous(2).validate(two_levels), std::nullopt);
+  EXPECT_EQ(RdnTree::from_order({0, 1, 9, 3}).validate(two_levels),
+            "tree wire 9 out of range");
+  EXPECT_EQ(RdnTree::from_order({0, 3, 2, 3}).validate(two_levels),
+            "tree does not cover wire 1 at level 0");
+  // Leaf order 0 2 | 1 3: level 1 pairs {0, 2} and {1, 3}.
+  EXPECT_EQ(RdnTree::from_order({0, 2, 1, 3}).validate(two_levels),
+            "level 1 gate spans two level-1 nodes");
+  ComparatorNetwork same_child(4);
+  same_child.add_level({Gate(0, 1, GateOp::CompareAsc)});
+  same_child.add_level({Gate(0, 1, GateOp::CompareAsc)});
+  EXPECT_EQ(RdnTree::contiguous(2).validate(same_child),
+            "level 2 gate does not cross the two subnetworks");
+}
+
 TEST(Butterfly, LevelTPairsBitTMinus1) {
   const auto chunk = butterfly_rdn(3);
   ASSERT_EQ(chunk.net.depth(), 3u);
