@@ -33,6 +33,7 @@
 #include "analysis/sortedness.hpp"
 #include "core/comparator_network.hpp"
 #include "core/io.hpp"
+#include "count_allocations.hpp"
 #include "env_iters.hpp"
 #include "networks/batcher.hpp"
 #include "networks/classic.hpp"
@@ -41,28 +42,6 @@
 #include "service/json.hpp"
 #include "sim/bitparallel.hpp"
 #include "util/prng.hpp"
-
-// Heap allocations made by this thread: the relation's level steps must
-// make none once their scratch exists.
-namespace {
-thread_local std::size_t g_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-// GCC cannot see that the replaced operator new above is malloc.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace shufflebound {
 namespace {
@@ -795,22 +774,22 @@ TEST(AnalyzeRelation, LevelStepsAllocateNothingAfterTheFirst) {
   const std::vector<wire_t> high{2, 3};
   const std::vector<std::uint32_t> ends{2};
   rel.add_blocks(low, high, ends);
-  const std::size_t before = g_allocations;
+  const std::size_t before = testenv::g_allocations;
   for (std::size_t l = 1; l < prog.levels.size(); ++l) {
     rel.apply_level(prog.levels[l], fates.data());
     rel.add_blocks(low, high, ends);
   }
-  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(testenv::g_allocations - before, 0u);
 
   // The analyzer's engine too: an analysis's allocation count does not
   // grow with the number of levels stepped.
   const auto allocations_for = [&](std::size_t levels) {
     LevelProgram prefix = prog;
     prefix.levels.resize(levels);
-    const std::size_t start = g_allocations;
+    const std::size_t start = testenv::g_allocations;
     const AnalyzeReport report = analyze(prefix);
     EXPECT_EQ(report.verdict, AnalyzeVerdict::Inconclusive);
-    return g_allocations - start;
+    return testenv::g_allocations - start;
   };
   EXPECT_EQ(allocations_for(2), allocations_for(prog.levels.size() - 1));
 }
