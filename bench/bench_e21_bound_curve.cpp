@@ -1,6 +1,6 @@
 // E21 - empirical bound curve and the parallel witness batch.
 //
-// Three claims ride on this binary:
+// Three claims ride on this binary, plus one service-layer rate:
 //
 //   bound curve      for iterated-RDN families the adversary refutes far
 //                    deeper than Theorem 4.1's n / lg^{4d} n floor
@@ -26,6 +26,9 @@
 //                    integer loop twice on one thread, then once on each
 //                    of two threads) says how much parallelism the host
 //                    gave this run; it is reported, not gated.
+//   job lines        refute_job_lines_per_s_n4096: one refute request
+//                    line parsed, executed and written back as its result
+//                    line, serially, at n = 4096 (quick runs too).
 //
 // Nightly CI runs this in full mode, uploads BENCH_E21.json plus the
 // bound-curve table, and jq-compares refuted depths exactly against the
@@ -44,8 +47,11 @@
 #include "adversary/sweep.hpp"
 #include "adversary/witness.hpp"
 #include "bench_util.hpp"
+#include "core/io.hpp"
 #include "networks/rdn.hpp"
+#include "networks/shuffle.hpp"
 #include "perm/permutation.hpp"
+#include "service/engine.hpp"
 #include "sim/compiled_net.hpp"
 #include "util/bits.hpp"
 #include "util/prng.hpp"
@@ -115,6 +121,53 @@ void throughput_section() {
   row(256, 2, "");
   row(1024, 2, "n1024");
   row(4096, 2, "n4096");
+}
+
+// ------------------------------------------------ refute job lines --
+
+/// One refute request through the service layer, serial:
+/// job_from_json_line -> AnalysisEngine::execute -> to_json_line on the
+/// network of `make random-shuffle 4096 24 7`, the request-to-result path
+/// of a batch or server refute job without the queue and cache.
+void job_line_section() {
+  const std::uint64_t reps = benchutil::quick() ? 5 : 20;
+  Prng rng(7);
+  JsonValue request = JsonValue::object();
+  request.set("id", "r");
+  request.set("op", "refute");
+  request.set("network",
+              to_text(random_shuffle_network(4096, 24, rng, {10, 5})));
+  const std::string line = request.dump();
+  double parse_s = 0, execute_s = 0, dump_s = 0;
+  std::size_t result_bytes = 0;
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    auto t0 = Clock::now();
+    const JobSpec spec = job_from_json_line(line, 1);
+    parse_s += seconds_since(t0);
+    t0 = Clock::now();
+    const JobResult result = AnalysisEngine::execute(spec);
+    execute_s += seconds_since(t0);
+    t0 = Clock::now();
+    const std::string out = result.to_json_line();
+    dump_s += seconds_since(t0);
+    if (!result.ok || result.payload.find("status")->as_string() != "refuted")
+      throw std::logic_error("bench_e21: expected a refuted job line");
+    result_bytes = out.size();
+  }
+  const double per =
+      (parse_s + execute_s + dump_s) / static_cast<double>(reps);
+  std::printf("\nrefute job line (n = 4096, depth 24, %zu-byte request, "
+              "%zu-byte result), serial:\n",
+              line.size(), result_bytes);
+  std::printf("%10s | %10s | %10s | %12s\n", "parse", "execute", "dump",
+              "lines/s");
+  benchutil::rule();
+  const auto ms = [&](double total) {
+    return total / static_cast<double>(reps) * 1e3;
+  };
+  std::printf("%8.3fms | %8.3fms | %8.3fms | %12.1f\n", ms(parse_s),
+              ms(execute_s), ms(dump_s), 1.0 / per);
+  benchutil::metric("refute_job_lines_per_s_n4096", 1.0 / per);
 }
 
 // ------------------------------------------------- parallel speedup --
@@ -203,6 +256,7 @@ void print_table() {
       "n = 1024");
   bound_curve_section();
   throughput_section();
+  job_line_section();
   speedup_section();
 }
 

@@ -18,10 +18,10 @@ AdversaryOptions adversary_options(const RefuteOptions& options) {
   return out;
 }
 
-RefutationResult finish(AdversaryResult adversary,
-                        const RefuteOptions& options,
-                        const std::function<bool(const Witness&)>& verify,
-                        std::string scope_note) {
+RefutationResult finish(
+    AdversaryResult adversary, const RefuteOptions& options,
+    const std::function<WitnessReplay(const Witness&)>& replay,
+    std::string scope_note) {
   RefutationResult result;
   std::ostringstream detail;
   detail << scope_note << "; survivors " << adversary.survivors.size()
@@ -38,20 +38,22 @@ RefutationResult finish(AdversaryResult adversary,
     result.status = RefutationStatus::TooFewSurvivors;
     return result;
   }
-  bool verified = false;
+  WitnessReplay verified;
   {
     SB_OBS_SPAN("refuter", "witness_replay");
     SB_OBS_TIME_COUNT("refuter.phase_us.witness_replay");
     if (options.progress) options.progress();
-    verified = verify(cert->witness);
+    verified = replay(cert->witness);
   }
-  if (!verified) {
+  if (!verified.check.refutes_sorting()) {
     // Should be impossible; surface loudly rather than hand out a bogus
     // certificate.
     throw std::logic_error("refute: certificate failed self-verification");
   }
   result.status = RefutationStatus::Refuted;
   result.certificate = std::move(cert);
+  result.output_pi = std::move(verified.output_pi);
+  result.output_pi_prime = std::move(verified.output_pi_prime);
   return result;
 }
 
@@ -67,7 +69,7 @@ RefutationResult refute(const IteratedRdn& net, const RefuteOptions& options) {
       [&](const Witness& w) {
         // Verify through the compiled kernel: the certificate's validity
         // must not depend on the same evaluator the adversary ran on.
-        return check_witness(compile(net), w).refutes_sorting();
+        return replay_witness(compile(net), w);
       },
       note.str());
 }
@@ -98,9 +100,7 @@ RefutationResult refute(const RegisterNetwork& net,
   note << "shuffle-based network, " << rdn.stage_count() << " chunk(s) of lg n";
   return finish(
       run_adversary(rdn, adversary_options(options)), options,
-      [&](const Witness& w) {
-        return check_witness(compile(net), w).refutes_sorting();
-      },
+      [&](const Witness& w) { return replay_witness(compile(net), w); },
       note.str());
 }
 
@@ -142,9 +142,7 @@ RefutationResult refute(const ComparatorNetwork& net,
   note << "circuit sliced into " << chunks << " recognized RDN chunk(s)";
   return finish(
       run_adversary(rdn, adversary_options(options)), options,
-      [&](const Witness& w) {
-        return check_witness(compile(net), w).refutes_sorting();
-      },
+      [&](const Witness& w) { return replay_witness(compile(net), w); },
       note.str());
 }
 

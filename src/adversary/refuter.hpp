@@ -16,6 +16,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "adversary/certificate.hpp"
 
@@ -30,6 +31,11 @@ enum class RefutationStatus : std::uint8_t {
 struct RefutationResult {
   RefutationStatus status = RefutationStatus::NotInScope;
   std::optional<Certificate> certificate;
+  /// Refuted only: the network's outputs on the certificate's pi and pi',
+  /// in output order, from the self-verifying replay - what the model's
+  /// own evaluate() returns for them.
+  std::vector<wire_t> output_pi;
+  std::vector<wire_t> output_pi_prime;
   AdversaryResult adversary;   // populated unless NotInScope
   std::string detail;          // human-readable scope/bounds note
 };

@@ -127,18 +127,25 @@ WitnessCheck check_witness(const IteratedRdn& net, const Witness& w) {
   return check_impl(net, w);
 }
 
-WitnessCheck check_witness(const CompiledNetwork& net, const Witness& w) {
+WitnessReplay replay_witness(const CompiledNetwork& net, const Witness& w) {
   SB_OBS_SPAN("refuter", "witness_check");
   SB_OBS_COUNT("refuter.witness_checks", 1);
   PairComparisonRecorder rec_pi(w.m, w.m + 1);
   PairComparisonRecorder rec_prime(w.m, w.m + 1);
-  std::vector<wire_t> out_pi(w.pi.image().begin(), w.pi.image().end());
-  std::vector<wire_t> out_prime(w.pi_prime.image().begin(),
+  WitnessReplay replay;
+  replay.output_pi.assign(w.pi.image().begin(), w.pi.image().end());
+  replay.output_pi_prime.assign(w.pi_prime.image().begin(),
                                 w.pi_prime.image().end());
   std::vector<wire_t> scratch;
-  net.apply_with_observer(out_pi, scratch, rec_pi);
-  net.apply_with_observer(out_prime, scratch, rec_prime);
-  return judge(w, rec_pi.compared(), rec_prime.compared(), out_pi, out_prime);
+  net.apply_with_observer(replay.output_pi, scratch, rec_pi);
+  net.apply_with_observer(replay.output_pi_prime, scratch, rec_prime);
+  replay.check = judge(w, rec_pi.compared(), rec_prime.compared(),
+                       replay.output_pi, replay.output_pi_prime);
+  return replay;
+}
+
+WitnessCheck check_witness(const CompiledNetwork& net, const Witness& w) {
+  return replay_witness(net, w).check;
 }
 
 std::vector<WitnessCheck> check_witnesses(const CompiledNetwork& net,

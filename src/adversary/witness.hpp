@@ -62,11 +62,24 @@ WitnessCheck check_witness(const ComparatorNetwork& net, const Witness& w);
 WitnessCheck check_witness(const RegisterNetwork& net, const Witness& w);
 WitnessCheck check_witness(const IteratedRdn& net, const Witness& w);
 
+/// A compiled-kernel replay: the verdict and the two outputs it was
+/// judged on, in output order (position p = wire p of a circuit, register
+/// p of a register network, final slot p of an iterated RDN) - what the
+/// source model's own evaluate() returns for pi and pi'.
+struct WitnessReplay {
+  WitnessCheck check;
+  std::vector<wire_t> output_pi;
+  std::vector<wire_t> output_pi_prime;
+};
+
 /// Same verdict via the compiled kernel (sim/compiled_net.hpp): compiling
 /// elides exchanges and permutations but preserves the multiset of value
 /// pairs that meet at comparators, so the recorder sees the same
 /// comparisons and the replay reaches the same refutation verdict. Lets a
 /// caller amortize one compile() across many witnesses of the same net.
+WitnessReplay replay_witness(const CompiledNetwork& net, const Witness& w);
+
+/// replay_witness's verdict alone.
 WitnessCheck check_witness(const CompiledNetwork& net, const Witness& w);
 
 /// Replays a batch of witnesses against one compiled network, in parallel

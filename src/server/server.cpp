@@ -289,7 +289,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
   SB_OBS_SPAN("server", "request");
   // One JSON parse per line: the server-answered ops, the rejection
   // lines and the job spec all read this document.
-  const JobLine parsed(line);
+  JobLine parsed(line);
   const std::string id = parsed.id(line_number);
   const std::string op = parsed.op();
 
@@ -338,7 +338,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  ProbedJob job{job_from_json(parsed, line_number)};
+  ProbedJob job{job_from_json(std::move(parsed), line_number)};
   job.spec.client_tag = pack_tag(conn->id, ticket);
   // With nothing in flight on this connection the probe step runs here:
   // a cache hit, invalid spec or unparseable network is written at once,

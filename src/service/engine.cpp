@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "adversary/certificate.hpp"
+#include "adversary/lemma41.hpp"
 #include "adversary/refuter.hpp"
 #include "analysis/sortedness.hpp"
 #include "analyze/analyzer.hpp"
@@ -42,19 +43,10 @@ std::string hex_u64(std::uint64_t value) {
 }
 
 JsonValue wires_to_json(std::span<const wire_t> values) {
-  JsonValue arr = JsonValue::array();
-  for (const wire_t v : values) arr.push_back(static_cast<unsigned>(v));
-  return arr;
-}
-
-/// Runs input permutation `input` through the network in its own model
-/// (register/iterated outputs are in register / final-slot order).
-std::vector<wire_t> run_input(const ParsedNetwork& net,
-                              const Permutation& input) {
-  return net.visit([&input](const auto& model) {
-    return model.evaluate(
-        std::vector<wire_t>(input.image().begin(), input.image().end()));
-  });
+  JsonValue::Array arr;
+  arr.reserve(values.size());
+  for (const wire_t v : values) arr.emplace_back(static_cast<unsigned>(v));
+  return JsonValue(std::move(arr));
 }
 
 // Arena purpose salts: the compiled table depends on WHAT is compiled,
@@ -187,9 +179,23 @@ JsonValue witness_to_json(const Witness& w) {
   return out;
 }
 
+/// Rejects an explicit `k` whose Lemma 4.1 set budget on this network
+/// exceeds kMaxRefuteSetBudget (k is bounded first, so k^3 cannot wrap).
+void check_refute_budget(const ParsedNetwork& net, std::uint32_t k) {
+  if (k == 0) return;
+  const wire_t n = net.visit([](const auto& model) { return model.width(); });
+  const std::uint32_t l = log2_ceil(n);
+  if (k <= 1024 && lemma41_set_budget(k, l) <= kMaxRefuteSetBudget) return;
+  throw std::invalid_argument(
+      "refute: k = " + std::to_string(k) + " at width " + std::to_string(n) +
+      " exceeds the set budget k^3 + lg(n) k^2 <= " +
+      std::to_string(kMaxRefuteSetBudget));
+}
+
 JsonValue refute_payload(const ParsedNetwork& net, const JobSpec& spec,
                          Clock::time_point deadline) {
   check_deadline(deadline);
+  check_refute_budget(net, spec.k);
   // Jobs stay single-threaded (no pool: job-level parallelism lives
   // across jobs); the progress hook threads the cooperative deadline into
   // every RDN level and witness replay of the pipeline.
@@ -214,9 +220,10 @@ JsonValue refute_payload(const ParsedNetwork& net, const JobSpec& spec,
     payload.set("witness", witness_to_json(cert.witness));
     // The colliding outputs: the network maps pi and pi' to outputs that
     // differ exactly where m and m+1 sit, so at least one is unsorted.
-    payload.set("output_pi", wires_to_json(run_input(net, cert.witness.pi)));
-    payload.set("output_pi_prime",
-                wires_to_json(run_input(net, cert.witness.pi_prime)));
+    // They come from the refuter's own self-verifying replay, in the
+    // model's output order.
+    payload.set("output_pi", wires_to_json(result.output_pi));
+    payload.set("output_pi_prime", wires_to_json(result.output_pi_prime));
     payload.set("survivors", wires_to_json(cert.survivors));
     payload.set("certificate", certificate_text(cert));
   }

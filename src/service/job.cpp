@@ -1,6 +1,7 @@
 #include "service/job.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -93,11 +94,11 @@ JobSpec job_from_json_line(const std::string& line,
   return job_from_json(JobLine(line), line_number);
 }
 
-JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
+JobSpec job_from_json(JobLine&& line, std::uint64_t line_number) {
   JobSpec spec;
   spec.id = line.id(line_number);
   if (!line.json_error.empty()) return invalid_spec(spec.id, line.json_error);
-  const JsonValue& doc = line.doc;
+  JsonValue& doc = line.doc;
   if (!doc.is_object())
     return invalid_spec(spec.id, "job line must be a JSON object");
   const JsonValue* id = doc.find("id");
@@ -112,15 +113,21 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
     return invalid_spec(spec.id, "unknown op '" + op->as_string() + "'");
   spec.kind = *kind;
 
-  // Optional numeric field: false when present but not a number.
-  const auto read_uint = [&](const char* key, auto& out) -> bool {
-    if (const JsonValue* v = doc.find(key)) {
-      if (!v->is_number()) return false;
-      out = static_cast<std::remove_reference_t<decltype(out)>>(v->as_uint());
-    }
-    return true;
+  // Optional unsigned field: the rejection when present but not a number,
+  // or a number the field cannot hold (never truncated), else empty.
+  const auto read_uint = [&](const char* key, auto& out) -> std::string {
+    using Field = std::remove_reference_t<decltype(out)>;
+    const JsonValue* v = doc.find(key);
+    if (v == nullptr) return {};
+    if (!v->is_number()) return std::string("'") + key + "' must be a number";
+    const std::uint64_t value = v->as_uint();
+    if (value > std::numeric_limits<Field>::max())
+      return std::string("'") + key + "' must be at most " +
+             std::to_string(std::numeric_limits<Field>::max());
+    out = static_cast<Field>(value);
+    return {};
   };
-  const JsonValue* network = doc.find("network");
+  JsonValue* network = doc.find("network");
   const JsonValue* network_file = doc.find("network_file");
   if (spec.kind == JobKind::Search) {
     // Search jobs take a width, not a network.
@@ -129,7 +136,8 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
     const JsonValue* n = doc.find("n");
     if (n == nullptr || !n->is_number() || n->as_uint() == 0)
       return invalid_spec(spec.id, "search needs a positive 'n'");
-    spec.search_width = static_cast<std::uint32_t>(n->as_uint());
+    std::string why = read_uint("n", spec.search_width);
+    if (!why.empty()) return invalid_spec(spec.id, std::move(why));
     if (const JsonValue* mode = doc.find("mode")) {
       if (!mode->is_string() ||
           (mode->as_string() != "auto" && mode->as_string() != "exhaustive" &&
@@ -138,10 +146,9 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
                             "'mode' must be auto, exhaustive or existence");
       spec.search_mode = mode->as_string();
     }
-    if (!read_uint("max_depth", spec.search_max_depth))
-      return invalid_spec(spec.id, "'max_depth' must be a number");
-    if (!read_uint("timeout_ms", spec.timeout_ms))
-      return invalid_spec(spec.id, "'timeout_ms' must be a number");
+    why = read_uint("max_depth", spec.search_max_depth);
+    if (why.empty()) why = read_uint("timeout_ms", spec.timeout_ms);
+    if (!why.empty()) return invalid_spec(spec.id, std::move(why));
     return spec;
   }
   if ((network != nullptr) == (network_file != nullptr))
@@ -150,7 +157,7 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
   if (network != nullptr) {
     if (!network->is_string())
       return invalid_spec(spec.id, "'network' must be a string");
-    spec.network_text = network->as_string();
+    spec.network_text = std::move(network->as_string());
   } else {
     if (!network_file->is_string())
       return invalid_spec(spec.id, "'network_file' must be a string");
@@ -163,14 +170,11 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
     spec.network_text = text.str();
   }
 
-  if (!read_uint("trials", spec.trials))
-    return invalid_spec(spec.id, "'trials' must be a number");
-  if (!read_uint("seed", spec.seed))
-    return invalid_spec(spec.id, "'seed' must be a number");
-  if (!read_uint("k", spec.k))
-    return invalid_spec(spec.id, "'k' must be a number");
-  if (!read_uint("timeout_ms", spec.timeout_ms))
-    return invalid_spec(spec.id, "'timeout_ms' must be a number");
+  std::string why = read_uint("trials", spec.trials);
+  if (why.empty()) why = read_uint("seed", spec.seed);
+  if (why.empty()) why = read_uint("k", spec.k);
+  if (why.empty()) why = read_uint("timeout_ms", spec.timeout_ms);
+  if (!why.empty()) return invalid_spec(spec.id, std::move(why));
   if (const JsonValue* strict = doc.find("strict")) {
     if (!strict->is_bool())
       return invalid_spec(spec.id, "'strict' must be a boolean");
@@ -180,20 +184,26 @@ JobSpec job_from_json(const JobLine& line, std::uint64_t line_number) {
 }
 
 std::string JobResult::to_json_line() const {
-  JsonValue out = JsonValue::object();
-  out.set("id", id);
-  out.set("op", job_kind_name(kind));
-  out.set("ok", ok);
-  if (ok) {
-    out.set("result", payload);
-  } else {
-    out.set("error", error);
-    if (timed_out) out.set("timeout", true);
-    // Lint failures still carry the full diagnostic document; other kinds
-    // leave the payload null on failure.
-    if (!payload.is_null()) out.set("result", payload);
+  // The envelope is written directly and the payload appended in place:
+  // the same bytes a {"id","op","ok",...} object's dump() would give.
+  std::string out = "{\"id\":";
+  json_append_quoted(out, id);
+  out += ",\"op\":\"";
+  out += job_kind_name(kind);  // wire names need no escaping
+  out += ok ? "\",\"ok\":true" : "\",\"ok\":false";
+  if (!ok) {
+    out += ",\"error\":";
+    json_append_quoted(out, error);
+    if (timed_out) out += ",\"timeout\":true";
   }
-  return out.dump();
+  // Lint failures still carry the full diagnostic document; other kinds
+  // leave the payload null on failure.
+  if (ok || !payload.is_null()) {
+    out += ",\"result\":";
+    payload.dump_to(out);
+  }
+  out.push_back('}');
+  return out;
 }
 
 }  // namespace shufflebound

@@ -99,8 +99,9 @@ struct JobLine {
 };
 
 /// Builds the job spec from a parsed line (never throws; see header
-/// comment). `line_number` is 1-based and provides the default id.
-JobSpec job_from_json(const JobLine& line, std::uint64_t line_number);
+/// comment). `line_number` is 1-based and provides the default id. The
+/// inline network text is moved out of the line, not copied.
+JobSpec job_from_json(JobLine&& line, std::uint64_t line_number);
 
 /// Parses one JSONL job line: job_from_json(JobLine(line), line_number).
 JobSpec job_from_json_line(const std::string& line, std::uint64_t line_number);

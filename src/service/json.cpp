@@ -1,10 +1,11 @@
 #include "service/json.hpp"
 
 #include <cctype>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <type_traits>
 
 namespace shufflebound {
 
@@ -48,11 +49,15 @@ void JsonValue::set(std::string key, JsonValue value) {
   obj.emplace_back(std::move(key), std::move(value));
 }
 
-std::string json_quote(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
+void json_append_quoted(std::string& out, std::string_view raw) {
   out.push_back('"');
-  for (const char c : raw) {
+  // Bytes that need no escape are copied in runs; UTF-8 passes through.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -61,62 +66,65 @@ std::string json_quote(const std::string& raw) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);  // UTF-8 bytes pass through verbatim
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(escape, sizeof escape);
+      }
     }
   }
+  out.append(raw.data() + run, raw.size() - run);
   out.push_back('"');
+}
+
+std::string json_quote(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size() + 2);
+  json_append_quoted(out, raw);
   return out;
 }
 
-namespace {
-
-void dump_value(const JsonValue& value, std::string& out) {
-  if (value.is_null()) {
-    out += "null";
-  } else if (value.is_bool()) {
-    out += value.as_bool() ? "true" : "false";
-  } else if (value.is_string()) {
-    out += json_quote(value.as_string());
-  } else if (value.is_array()) {
-    out.push_back('[');
-    bool first = true;
-    for (const JsonValue& item : value.items()) {
-      if (!first) out.push_back(',');
-      first = false;
-      dump_value(item, out);
-    }
-    out.push_back(']');
-  } else if (value.is_object()) {
-    out.push_back('{');
-    bool first = true;
-    for (const auto& [key, member] : value.members()) {
-      if (!first) out.push_back(',');
-      first = false;
-      out += json_quote(key);
-      out.push_back(':');
-      dump_value(member, out);
-    }
-    out.push_back('}');
-  } else {
-    char buf[32];
-    // Exact integer printing; doubles use a fixed round-trippable format.
-    if (value == JsonValue(value.as_int())) {
-      std::snprintf(buf, sizeof buf, "%" PRId64, value.as_int());
-    } else if (value == JsonValue(value.as_uint())) {
-      std::snprintf(buf, sizeof buf, "%" PRIu64, value.as_uint());
-    } else {
-      std::snprintf(buf, sizeof buf, "%.17g", value.as_double());
-    }
-    out += buf;
-  }
+void JsonValue::dump_to(std::string& out) const {
+  std::visit(
+      [&out](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::nullptr_t>) {
+          out += "null";
+        } else if constexpr (std::is_same_v<T, bool>) {
+          out += v ? "true" : "false";
+        } else if constexpr (std::is_integral_v<T>) {
+          // Exact integer printing.
+          char buf[24];
+          out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+        } else if constexpr (std::is_same_v<T, double>) {
+          // Doubles use a fixed round-trippable format.
+          char buf[32];
+          const int len = std::snprintf(buf, sizeof buf, "%.17g", v);
+          out.append(buf, static_cast<std::size_t>(len));
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          json_append_quoted(out, v);
+        } else if constexpr (std::is_same_v<T, Array>) {
+          out.push_back('[');
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i != 0) out.push_back(',');
+            v[i].dump_to(out);
+          }
+          out.push_back(']');
+        } else {
+          out.push_back('{');
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i != 0) out.push_back(',');
+            json_append_quoted(out, v[i].first);
+            out.push_back(':');
+            v[i].second.dump_to(out);
+          }
+          out.push_back('}');
+        }
+      },
+      value_);
 }
+
+namespace {
 
 class Parser {
  public:
@@ -223,13 +231,14 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Copy the run up to the next quote or backslash in one append.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+        ++end;
+      out.append(text_, pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -287,21 +296,22 @@ class Parser {
       }
     }
     if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
     if (!is_double) {
-      if (token[0] == '-') {
-        const long long v = std::strtoll(token.c_str(), &end, 10);
-        if (errno == 0 && end == token.c_str() + token.size())
-          return JsonValue(static_cast<std::int64_t>(v));
+      const char* first = text_.data() + start;
+      const char* last = text_.data() + pos_;
+      if (*first == '-') {
+        std::int64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, v);
+        if (ec == std::errc() && ptr == last) return JsonValue(v);
       } else {
-        const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-        if (errno == 0 && end == token.c_str() + token.size())
-          return JsonValue(static_cast<std::uint64_t>(v));
+        std::uint64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, v);
+        if (ec == std::errc() && ptr == last) return JsonValue(v);
       }
-      errno = 0;  // overflow: fall through to double
+      // Overflow: fall through to double.
     }
+    const std::string token = text_.substr(start, pos_ - start);
+    char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("malformed number");
     return JsonValue(d);
@@ -315,7 +325,7 @@ class Parser {
 
 std::string JsonValue::dump() const {
   std::string out;
-  dump_value(*this, out);
+  dump_to(out);
   return out;
 }
 

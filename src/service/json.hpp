@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -58,6 +59,7 @@ class JsonValue {
 
   bool as_bool() const { return std::get<bool>(value_); }
   const std::string& as_string() const { return std::get<std::string>(value_); }
+  std::string& as_string() { return std::get<std::string>(value_); }
   /// Numeric accessors convert between the three stored widths; they throw
   /// std::bad_variant_access on non-numbers and truncate doubles.
   std::int64_t as_int() const;
@@ -71,6 +73,9 @@ class JsonValue {
 
   /// Object member lookup; nullptr if absent (or not an object).
   const JsonValue* find(const std::string& key) const;
+  JsonValue* find(const std::string& key) {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
+  }
 
   /// Sets (or appends) an object member, keeping insertion order.
   void set(std::string key, JsonValue value);
@@ -78,7 +83,11 @@ class JsonValue {
   /// Appends to an array value.
   void push_back(JsonValue value) { items().push_back(std::move(value)); }
 
-  /// Compact serialization (no whitespace), deterministic.
+  /// Compact serialization (no whitespace), deterministic, appended to
+  /// `out` in place - the one writer behind dump() and result lines.
+  void dump_to(std::string& out) const;
+
+  /// dump_to() into a fresh string.
   std::string dump() const;
 
   /// Parses a complete JSON document; throws std::invalid_argument with an
@@ -93,7 +102,12 @@ class JsonValue {
       value_;
 };
 
-/// JSON string escaping of `raw` (adds the surrounding quotes).
+/// Appends `raw` to `out` as a JSON string literal (with its quotes):
+/// runs that need no escape are copied as they are, control bytes become
+/// \b \f \n \r \t or \u00XX, and UTF-8 passes through.
+void json_append_quoted(std::string& out, std::string_view raw);
+
+/// json_append_quoted() into a fresh string.
 std::string json_quote(const std::string& raw);
 
 }  // namespace shufflebound

@@ -95,7 +95,8 @@ class CompiledNetwork {
 
   /// Same, invoking observer.on_compare(level, gate, a, b) for every
   /// comparator with the pre-op values - the instrumented replay behind
-  /// witness checking. The Gate argument carries the compiled slot pair
+  /// witness checking. The outputs are left in output order too, so they
+  /// equal the source model's evaluate() of the same input. The Gate argument carries the compiled slot pair
   /// (not source wires); value-based observers like ComparisonRecorder
   /// see exactly the comparisons the source network performs.
   template <typename Observer>

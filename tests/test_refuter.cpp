@@ -7,6 +7,7 @@
 #include "networks/batcher.hpp"
 #include "networks/classic.hpp"
 #include "networks/shuffle.hpp"
+#include "perm/permutation.hpp"
 #include "util/prng.hpp"
 
 namespace shufflebound {
@@ -112,6 +113,36 @@ TEST(Refuter, IteratedRdnOverloadMatchesRegisterPath) {
   ASSERT_EQ(via_register.status, RefutationStatus::Refuted);
   ASSERT_EQ(via_rdn.status, RefutationStatus::Refuted);
   EXPECT_EQ(via_register.adversary.survivors, via_rdn.adversary.survivors);
+}
+
+// The outputs a refutation carries come from the refuter's compiled
+// replay; in every model they are what the model's own evaluator gives
+// for pi and pi' (output order: wire, register or final slot).
+template <typename Net>
+void expect_outputs_match_evaluator(const Net& net) {
+  const RefutationResult result = refute(net);
+  ASSERT_EQ(result.status, RefutationStatus::Refuted);
+  const Witness& w = result.certificate->witness;
+  const auto evaluate = [&net](const Permutation& input) {
+    return net.evaluate(
+        std::vector<wire_t>(input.image().begin(), input.image().end()));
+  };
+  EXPECT_EQ(result.output_pi, evaluate(w.pi));
+  EXPECT_EQ(result.output_pi_prime, evaluate(w.pi_prime));
+}
+
+TEST(Refuter, ReplayOutputsEqualTheModelsOwnEvaluator) {
+  Prng rng(11);
+  // Exchanges make the compiled output order a non-identity permutation.
+  ComparatorNetwork circuit(16);
+  circuit.append(random_rdn(4, rng, 10, 20).net);
+  circuit.append(random_rdn(4, rng, 10, 20).net);
+  expect_outputs_match_evaluator(circuit);
+  expect_outputs_match_evaluator(
+      random_shuffle_network(32, 8, rng, {10, 10}));
+  expect_outputs_match_evaluator(make_iterated_rdn(
+      16, 2, [&](std::size_t) { return random_rdn(4, rng, 10, 20); },
+      [&](std::size_t) { return random_permutation(16, rng); }));
 }
 
 }  // namespace
