@@ -191,7 +191,6 @@ ZeroOneReport certify(const CompiledNetwork& net, const CertifyOptions& opts,
   const wire_t n = net.width();
   FrontierOptions frontier_opts;
   frontier_opts.budget = opts.frontier_budget;
-  frontier_opts.pool = opts.pool;
   frontier_opts.progress = opts.progress;
 
   switch (opts.engine) {

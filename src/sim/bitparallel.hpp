@@ -90,6 +90,8 @@ struct CertifyOptions {
   /// its fallback-guarded attempts (n <= kSweepWidthCap) to 2^(n-8), so
   /// an unfriendly network aborts after a tiny fraction of sweep work.
   std::uint64_t frontier_budget = kDefaultFrontierBudget;
+  /// Tiles the sweep and the relabel sweep over its workers; the
+  /// frontier always runs on the calling thread.
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation/deadline hook: the frontier engine calls
   /// it once per level, the sweep once per lane block and the relabel

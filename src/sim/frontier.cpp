@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,19 +16,11 @@ namespace {
 
 /// One reachable partial state plus the minimal input vector reaching
 /// it. Both words use GLOBAL slot/wire bit positions; a component only
-/// sets bits inside its slot mask. Ordered by (state, min_input) so a
-/// sort followed by unique-by-state keeps the minimal input per state.
+/// sets bits inside its slot mask.
 struct Entry {
   std::uint64_t state;
   std::uint64_t min_input;
 };
-
-bool operator<(const Entry& a, const Entry& b) {
-  return a.state < b.state ||
-         (a.state == b.state && a.min_input < b.min_input);
-}
-
-bool same_state(const Entry& a, const Entry& b) { return a.state == b.state; }
 
 /// Settled-bucket sentinel. Safe: min-input vectors are < 2^48.
 constexpr std::uint64_t kUnsettled = UINT64_MAX;
@@ -101,7 +92,7 @@ void materialize(Component& comp) {
 /// bucket, keeping the minimal input per state. A bucket collision is a
 /// dedup (two reaching inputs of one state) and is counted as such;
 /// distinct sorted states cannot collide because weight determines the
-/// state. Runs before sort_unique, so the sort only sees the unsorted
+/// state. Runs before dedup, so the hash table only sees the unsorted
 /// residue.
 void settle_sorted(Component& comp, std::uint64_t& dedup_removed) {
   auto out = comp.active.begin();
@@ -123,78 +114,62 @@ void settle_sorted(Component& comp, std::uint64_t& dedup_removed) {
   comp.active.erase(out, comp.active.end());
 }
 
-/// Below this size a plain serial sort beats bucketing overhead
-/// comfortably.
-constexpr std::size_t kBucketedDedupMin = std::size_t{1} << 15;
-
-/// Radix bucket count for large dedups, sized from the detected core
-/// topology (a few buckets per core for load balance under skewed
-/// state distributions, clamped to [16, 256] and rounded to a power of
-/// two) instead of a hard-coded constant. The partition never changes
-/// results, only locality and balance.
-unsigned dedup_bucket_bits() {
-  static const unsigned bits = [] {
-    const unsigned cores = std::max(std::thread::hardware_concurrency(), 1u);
-    const unsigned buckets = std::bit_ceil(std::clamp(cores * 4, 16u, 256u));
-    return static_cast<unsigned>(std::bit_width(buckets)) - 1;
-  }();
-  return bits;
+/// Applies one level's comparators on a component to every entry. A
+/// comparator on 0/1 values only acts when the min slot holds 1 and the
+/// max slot holds 0 - then it swaps them. The ops are the outer loop, so
+/// each pass is branch-free over independent entries; every entry still
+/// sees the ops in level order.
+void apply_ops(
+    std::vector<Entry>& entries,
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& ops) {
+  for (const auto& [mn, mx] : ops) {
+    const std::uint64_t both =
+        (std::uint64_t{1} << mn) | (std::uint64_t{1} << mx);
+    for (Entry& e : entries) {
+      const std::uint64_t fires = (e.state >> mn) & ~(e.state >> mx) & 1u;
+      e.state ^= both & (0 - fires);
+    }
+  }
 }
 
-/// Sorts `entries` by (state, min_input) and drops duplicate states,
-/// keeping the minimal input of each. Large sets are radix-partitioned
-/// by the leading bits of the component's states - a prefix split of
-/// the very order being sorted, so concatenating sorted buckets in
-/// bucket order is globally sorted and the result is bitwise identical
-/// to a flat sort no matter how many buckets there are or whether the
-/// per-bucket sorts run serially or on the pool. The split buys dedup
-/// locality (each bucket sorts within a fraction of the cache) even
-/// without a pool, and is the TSan-visible parallel path with one.
-void sort_unique(std::vector<Entry>& entries, std::uint64_t slot_mask,
-                 ThreadPool* pool, std::uint64_t& dedup_removed) {
-  const std::size_t before = entries.size();
-  if (before < kBucketedDedupMin) {
-    std::sort(entries.begin(), entries.end());
-    entries.erase(std::unique(entries.begin(), entries.end(), same_state),
-                  entries.end());
-    dedup_removed += before - entries.size();
-    return;
+/// Empty slot of the dedup index table.
+constexpr std::uint32_t kEmptySlot = UINT32_MAX;
+
+/// Drops duplicate states from `entries` in place, keeping the minimal
+/// input of each. Survivors keep their first-seen order: dedup is a set
+/// operation and the witness a minimum, so no report field depends on
+/// entry order. `table` indexes the compacted prefix by the high bits of
+/// a multiplicative hash of the state (linear probing over a power-of-two
+/// capacity of at least twice the set); the caller owns it so it is
+/// allocated once per frontier call and reused by every level.
+void dedup(std::vector<Entry>& entries, std::vector<std::uint32_t>& table,
+           std::uint64_t& dedup_removed) {
+  const std::size_t size = entries.size();
+  if (size < 2) return;
+  const std::size_t capacity = std::bit_ceil(2 * size);
+  const int shift = 64 - std::countr_zero(capacity);
+  if (table.size() < capacity) table.resize(capacity);
+  std::fill_n(table.begin(), capacity, kEmptySlot);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    const Entry e = entries[i];
+    auto slot =
+        static_cast<std::size_t>((e.state * 0x9E3779B97F4A7C15ull) >> shift);
+    for (;; slot = (slot + 1) & (capacity - 1)) {
+      const std::uint32_t at = table[slot];
+      if (at == kEmptySlot) {
+        table[slot] = static_cast<std::uint32_t>(kept);
+        entries[kept++] = e;
+        break;
+      }
+      if (entries[at].state == e.state) {
+        entries[at].min_input = std::min(entries[at].min_input, e.min_input);
+        break;
+      }
+    }
   }
-  const unsigned bucket_bits = dedup_bucket_bits();
-  const unsigned hi_bit = static_cast<unsigned>(std::bit_width(slot_mask));
-  const unsigned shift = hi_bit > bucket_bits ? hi_bit - bucket_bits : 0;
-  const std::size_t buckets = std::size_t{1} << bucket_bits;
-  std::vector<std::size_t> offsets(buckets + 1, 0);
-  for (const Entry& e : entries) ++offsets[(e.state >> shift) + 1];
-  for (std::size_t s = 0; s < buckets; ++s) offsets[s + 1] += offsets[s];
-  std::vector<Entry> scratch(before);
-  {
-    std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const Entry& e : entries) scratch[cursor[e.state >> shift]++] = e;
-  }
-  std::vector<std::size_t> kept(buckets, 0);
-  const auto sort_bucket = [&](std::size_t s) {
-    const auto first =
-        scratch.begin() + static_cast<std::ptrdiff_t>(offsets[s]);
-    const auto last =
-        scratch.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]);
-    std::sort(first, last);
-    kept[s] = static_cast<std::size_t>(
-        std::distance(first, std::unique(first, last, same_state)));
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, buckets, sort_bucket);
-  } else {
-    for (std::size_t s = 0; s < buckets; ++s) sort_bucket(s);
-  }
-  entries.clear();
-  for (std::size_t s = 0; s < buckets; ++s) {
-    const auto first =
-        scratch.begin() + static_cast<std::ptrdiff_t>(offsets[s]);
-    entries.insert(entries.end(), first,
-                   first + static_cast<std::ptrdiff_t>(kept[s]));
-  }
-  dedup_removed += before - entries.size();
+  dedup_removed += size - kept;
+  entries.resize(kept);
 }
 
 /// Cross product of two components' state sets, OR-ing states and
@@ -202,12 +177,11 @@ void sort_unique(std::vector<Entry>& entries, std::uint64_t slot_mask,
 /// disjoint bit positions). Returns false - touching nothing - when the
 /// product would exceed the budget; the caller reports incompleteness.
 /// The product of two duplicate-free sets is duplicate-free, so no
-/// dedup is owed here; the level's dedup restores sortedness. Settled
-/// buckets on either side are materialized first (a product state is
-/// sorted only if both factors were, and the merged component's order
-/// interleaves the factors' slots, so the settled representation does
-/// not survive a merge); the caller rebuilds dst's sorted table for the
-/// widened mask.
+/// dedup is owed here. Settled buckets on either side are materialized
+/// first (a product state is sorted only if both factors were, and the
+/// merged component's order interleaves the factors' slots, so the
+/// settled representation does not survive a merge); the caller
+/// rebuilds dst's sorted table for the widened mask.
 bool merge_into(Component& dst, Component& src, std::uint64_t budget,
                 std::uint64_t& states_expanded) {
   const std::uint64_t a = dst.total();
@@ -247,7 +221,10 @@ FrontierReport frontier_zero_one_check(const CompiledNetwork& net,
     report.sorts_all = true;
     return report;
   }
-  const std::uint64_t budget = opts.budget == 0 ? 1 : opts.budget;
+  // Dedup indexes entries with 32-bit words, so no set may reach
+  // kEmptySlot entries whatever the budget asks for.
+  const std::uint64_t budget =
+      std::clamp<std::uint64_t>(opts.budget, 1, kEmptySlot - 1);
   const bool collapse = opts.collapse_sorted;
 
   const std::span<const wire_t> order = net.output_order();
@@ -300,6 +277,7 @@ FrontierReport frontier_zero_one_check(const CompiledNetwork& net,
   std::vector<std::uint32_t> touched;
   std::vector<char> is_touched(n, 0);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> comp_ops;
+  std::vector<std::uint32_t> dedup_table;
 
   for (std::size_t level = 0; level < levels; ++level) {
     if (opts.progress) opts.progress();
@@ -321,9 +299,8 @@ FrontierReport frontier_zero_one_check(const CompiledNetwork& net,
         if (comp_of[s] == drop) comp_of[s] = keep;
     }
 
-    // Apply phase: gather this level's ops per component and rewrite
-    // every entry. A comparator on 0/1 values only acts when the
-    // min-slot holds 1 and the max-slot holds 0 - then it swaps them.
+    // Apply phase: gather this level's ops per component, rewrite every
+    // entry, then settle sorted fixed points and drop duplicates.
     touched.clear();
     std::fill(is_touched.begin(), is_touched.end(), 0);
     for (std::size_t i = lo; i < hi; ++i) {
@@ -349,18 +326,10 @@ FrontierReport frontier_zero_one_check(const CompiledNetwork& net,
             });
         if (!ascending_only) materialize(comp);
       }
-      for (Entry& e : comp.active) {
-        std::uint64_t s = e.state;
-        for (const auto& [mn, mx] : comp_ops) {
-          if ((s >> mn & 1ull) > (s >> mx & 1ull))
-            s ^= (std::uint64_t{1} << mn) | (std::uint64_t{1} << mx);
-        }
-        e.state = s;
-      }
+      apply_ops(comp.active, comp_ops);
       report.states_expanded += comp.active.size();
       if (collapse) settle_sorted(comp, report.dedup_removed);
-      sort_unique(comp.active, comp.slot_mask, opts.pool,
-                  report.dedup_removed);
+      dedup(comp.active, dedup_table, report.dedup_removed);
     }
 
     std::uint64_t live_entries = 0;

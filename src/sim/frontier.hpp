@@ -17,19 +17,16 @@
 //  * Independence tracking. Wires that no comparator has yet connected
 //    are statistically independent, so the frontier is stored as a
 //    PRODUCT of per-component sets: a union-find over compiled slots,
-//    each component owning an explicit sorted vector of partial states
+//    each component owning an explicit vector of partial states
 //    (bits at the component's global slot positions). The run starts
 //    with n singleton components of two states each - total size 2n,
 //    product 2^n - and components merge (cross product, budget-checked
 //    BEFORE allocation) only when a comparator spans them.
 //  * Level-synchronous dedup. After each level's ops are applied to a
-//    component, its states are sorted and deduplicated, so the set
-//    never carries a state twice. Large components radix-bucket by the
-//    leading state bits first - a prefix split of the very order being
-//    sorted, so concatenating sorted buckets is globally sorted - and
-//    the per-bucket sorts run serially or over ThreadPool::parallel_for
-//    with bitwise-identical results. The bucket count is sized from the
-//    detected core topology, not a hard-coded constant.
+//    component, duplicate states are dropped by hashing (open
+//    addressing over a table the call owns and reuses), so the set
+//    never carries a state twice and a level costs time in proportion
+//    to its states.
 //
 // Memory layout (the part that sets the certifiable-n ceiling): a state
 // that is SORTED along its component's output order is a fixed point of
@@ -61,7 +58,6 @@
 #include <optional>
 
 #include "sim/compiled_net.hpp"
-#include "util/thread_pool.hpp"
 
 namespace shufflebound {
 
@@ -72,7 +68,8 @@ inline constexpr wire_t kFrontierWidthCap = 48;
 
 /// Default cap on any single materialized state set (a component after a
 /// merge or a level). ~2^26 entries = 1 GiB of (state, min_input) pairs
-/// at peak; structured networks stay orders of magnitude below it.
+/// plus a 512 MiB dedup index at peak; structured networks stay orders
+/// of magnitude below it.
 inline constexpr std::uint64_t kDefaultFrontierBudget = std::uint64_t{1}
                                                         << 26;
 
@@ -81,9 +78,6 @@ struct FrontierOptions {
   /// state set would exceed this many entries. Checked before the
   /// allocation, so an over-budget abort is cheap.
   std::uint64_t budget = kDefaultFrontierBudget;
-  /// Shards per-component dedup over the pool when a set is large.
-  /// Results are identical with and without a pool.
-  ThreadPool* pool = nullptr;
   /// Invoked once per level (and once before the final check) - the
   /// hook cooperative deadlines use; exceptions propagate to the caller.
   std::function<void()> progress;
