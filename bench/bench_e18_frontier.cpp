@@ -10,13 +10,16 @@
 // below 2^n - while adversarial low-structure networks (the brick
 // sorter) make it abort cheaply and fall back to the sweep.
 //
-// Three sections:
+// Four sections:
 //
 //   head-to-head   widths the sweep can still reach: both engines run
 //                  the full certification, speedup = sweep / frontier
 //   past the wall  widths where 2^n is out of reach (n = 32, 48): the
 //                  frontier certifies alone; we report certs/s and the
 //                  frontier peak (the sweep column would be years)
+//   large set      brick sorter at n = 22 through the frontier alone:
+//                  one component of ~177k states before dedup, the
+//                  per-level dedup and apply passes at their largest
 //   adversarial    brick sorter at n = 24: the auto dispatcher's
 //                  clamped frontier attempt aborts pre-allocation and
 //                  falls back, so auto must stay within ~2x of sweep
@@ -156,6 +159,28 @@ void print_table() {
   past_wall("oem-32", odd_even_mergesort_network(32), "");
   past_wall("bitonic-shuffle-32", bitonic_on_shuffle(32), "");
   past_wall("oem-trunc-48", truncated_oem(48), "oemt_n48");
+
+  // ------------------------------------------------- large set --
+  // Brick sorters chain every wire into one component by level two, so
+  // each level applies and dedups one set of up to ~177k states at
+  // n = 22. Timed on the engine alone (compiled once, default budget).
+  {
+    const CompiledNetwork brick = compile(brick_sorter(22));
+    const std::uint64_t reps = benchutil::quick() ? 8 : 32;
+    FrontierReport stats;
+    const auto t0 = Clock::now();
+    for (std::uint64_t r = 0; r < reps; ++r) {
+      stats = frontier_zero_one_check(brick);
+      if (!stats.sorts_all)
+        throw std::logic_error("bench_e18: brick-22 failed certification");
+    }
+    const double per_cert = seconds_since(t0) / static_cast<double>(reps);
+    std::printf("\nlarge state set, brick sorter n=22 (frontier only):\n");
+    std::printf("  per cert          : %8.2fms\n", per_cert * 1e3);
+    std::printf("  states expanded   : %8llu\n",
+                static_cast<unsigned long long>(stats.states_expanded));
+    benchutil::metric("frontier_certs_per_s_brick_n22", 1.0 / per_cert);
+  }
 
   // ------------------------------------------------- adversarial --
   // The brick sorter chains every wire into one giant component within
