@@ -27,7 +27,7 @@ int main() {
 
   // 2. Run it on a random permutation.
   Prng rng(2026);
-  const Permutation input = random_input(n, rng);
+  const Permutation input = random_permutation(n, rng);
   std::vector<wire_t> values(input.image().begin(), input.image().end());
   std::printf("input : ");
   for (const wire_t v : values) std::printf("%2u ", v);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
   // Sort a sample input, tracing the register contents.
   Prng rng(1);
-  const Permutation input = random_input(n, rng);
+  const Permutation input = random_permutation(n, rng);
   std::vector<wire_t> values(input.image().begin(), input.image().end());
   std::printf("\ntrace (register contents after each pass of %u steps):\n", d);
   std::printf("  start : ");

@@ -108,10 +108,4 @@ Permutation bit_reversal_permutation(wire_t n);
 /// Uniformly random permutation on n points (Fisher-Yates over `rng`).
 Permutation random_permutation(wire_t n, Prng& rng);
 
-/// A uniformly random input for an n-wire network - synonym for
-/// random_permutation, kept for call-site readability.
-inline Permutation random_input(wire_t n, Prng& rng) {
-  return random_permutation(n, rng);
-}
-
 }  // namespace shufflebound

@@ -411,98 +411,101 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
     const std::size_t remaining_after = depth_cap - next_depth;
     std::vector<Candidate> level;
     std::optional<std::pair<std::uint32_t, std::uint32_t>> winner;
-    // One span per level phase; each emplace ends the previous phase.
-    std::optional<obs::Span> phase;
-    phase.emplace("search", "expand");
-    for (std::size_t chunk = 0; chunk < frontier.size() && !winner.has_value();
-         chunk += kExpandChunk) {
-      const std::size_t chunk_end =
-          std::min(chunk + kExpandChunk, frontier.size());
-      std::vector<NodeExpansion> outs(chunk_end - chunk);
-      auto expand = [&](std::size_t i) {
-        if (options.progress) options.progress();
-        const FrontierNode& node = frontier[chunk + i];
-        NodeExpansion& out = outs[i];
-        std::vector<std::uint64_t> scratch(words);
-        const PairSet useful = space.useful_pairs(node.state);
+    // One span per level phase, each scoped to its block.
+    {
+      SB_OBS_SPAN("search", "expand");
+      for (std::size_t chunk = 0;
+           chunk < frontier.size() && !winner.has_value();
+           chunk += kExpandChunk) {
+        const std::size_t chunk_end =
+            std::min(chunk + kExpandChunk, frontier.size());
+        std::vector<NodeExpansion> outs(chunk_end - chunk);
+        auto expand = [&](std::size_t i) {
+          if (options.progress) options.progress();
+          const FrontierNode& node = frontier[chunk + i];
+          NodeExpansion& out = outs[i];
+          std::vector<std::uint64_t> scratch(words);
+          const PairSet useful = space.useful_pairs(node.state);
 
-        // Pass 1: score every surviving matching by its child's
-        // output-set size, without materializing states. Acceptance is
-        // detected here (an accepting child ends the scan).
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> scored;
-        OutputSet child;
-        for (std::size_t mi = 0; mi < matchings.size(); ++mi) {
-          const Matching& m = matchings[mi];
-          bool all_useful = true;
-          for (std::uint16_t id : m.pair_ids)
-            if (!useful.test(id)) {
-              all_useful = false;
+          // Pass 1: score every surviving matching by its child's
+          // output-set size, without materializing states. Acceptance is
+          // detected here (an accepting child ends the scan).
+          std::vector<std::pair<std::uint32_t, std::uint32_t>> scored;
+          OutputSet child;
+          for (std::size_t mi = 0; mi < matchings.size(); ++mi) {
+            const Matching& m = matchings[mi];
+            bool all_useful = true;
+            for (std::uint16_t id : m.pair_ids)
+              if (!useful.test(id)) {
+                all_useful = false;
+                break;
+              }
+            if (!all_useful) {
+              ++out.useless;
+              continue;
+            }
+            child = node.state;
+            space.apply_matching(child, m, scratch);
+            if (child == node.state) {
+              ++out.stalls;
+              continue;
+            }
+            ++out.generated;
+            if (space.accepts(child)) {
+              out.accept = std::uint32_t(mi);
               break;
             }
-          if (!all_useful) {
-            ++out.useless;
-            continue;
+            scored.emplace_back(std::uint32_t(child.count()),
+                                std::uint32_t(mi));
           }
-          child = node.state;
-          space.apply_matching(child, m, scratch);
-          if (child == node.state) {
-            ++out.stalls;
-            continue;
-          }
-          ++out.generated;
-          if (space.accepts(child)) {
-            out.accept = std::uint32_t(mi);
-            break;
-          }
-          scored.emplace_back(std::uint32_t(child.count()),
-                              std::uint32_t(mi));
-        }
-        if (out.accept.has_value()) return;
+          if (out.accept.has_value()) return;
 
-        // Beam mode: keep only the most-sorted children per node.
-        if (beam_width != 0 && scored.size() > kBeamChildCap) {
-          std::partial_sort(scored.begin(),
-                            scored.begin() + std::ptrdiff_t(kBeamChildCap),
-                            scored.end());
-          scored.resize(kBeamChildCap);
-        }
-
-        // Pass 2: materialize the kept children.
-        out.children.reserve(scored.size());
-        for (const auto& [count, mi] : scored) {
-          Candidate c;
-          c.state = node.state;
-          space.apply_matching(c.state, matchings[mi], scratch);
-          if (target_depth != 0 &&
-              space.countdown_prunes(c.state, remaining_after)) {
-            ++out.countdown;
-            continue;
+          // Beam mode: keep only the most-sorted children per node.
+          if (beam_width != 0 && scored.size() > kBeamChildCap) {
+            std::partial_sort(scored.begin(),
+                              scored.begin() + std::ptrdiff_t(kBeamChildCap),
+                              scored.end());
+            scored.resize(kBeamChildCap);
           }
-          c.parent = std::uint32_t(chunk + i);
-          c.matching = mi;
-          fill_candidate_meta(space, c);
-          out.children.push_back(std::move(c));
-        }
-      };
-      if (options.pool != nullptr)
-        options.pool->parallel_for(0, outs.size(), expand);
-      else
-        for (std::size_t i = 0; i < outs.size(); ++i) expand(i);
 
-      for (std::size_t i = 0; i < outs.size(); ++i) {
-        NodeExpansion& out = outs[i];
-        ++stats.nodes_expanded;
-        stats.useless_filtered += out.useless;
-        stats.stall_skips += out.stalls;
-        stats.countdown_prunes += out.countdown;
-        stats.children_generated += out.generated;
-        if (out.accept.has_value() && !winner.has_value())
-          winner = {std::uint32_t(chunk + i), *out.accept};
-        if (!winner.has_value()) {
-          if (level.size() + out.children.size() > options.state_budget)
-            throw std::runtime_error("search: state budget exceeded at depth " +
-                                     std::to_string(next_depth));
-          for (Candidate& c : out.children) level.push_back(std::move(c));
+          // Pass 2: materialize the kept children.
+          out.children.reserve(scored.size());
+          for (const auto& [count, mi] : scored) {
+            Candidate c;
+            c.state = node.state;
+            space.apply_matching(c.state, matchings[mi], scratch);
+            if (target_depth != 0 &&
+                space.countdown_prunes(c.state, remaining_after)) {
+              ++out.countdown;
+              continue;
+            }
+            c.parent = std::uint32_t(chunk + i);
+            c.matching = mi;
+            fill_candidate_meta(space, c);
+            out.children.push_back(std::move(c));
+          }
+        };
+        if (options.pool != nullptr)
+          options.pool->parallel_for(0, outs.size(), expand);
+        else
+          for (std::size_t i = 0; i < outs.size(); ++i) expand(i);
+
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+          NodeExpansion& out = outs[i];
+          ++stats.nodes_expanded;
+          stats.useless_filtered += out.useless;
+          stats.stall_skips += out.stalls;
+          stats.countdown_prunes += out.countdown;
+          stats.children_generated += out.generated;
+          if (out.accept.has_value() && !winner.has_value())
+            winner = {std::uint32_t(chunk + i), *out.accept};
+          if (!winner.has_value()) {
+            if (level.size() + out.children.size() > options.state_budget)
+              throw std::runtime_error(
+                  "search: state budget exceeded at depth " +
+                  std::to_string(next_depth));
+            for (Candidate& c : out.children) level.push_back(std::move(c));
+          }
         }
       }
     }
@@ -515,53 +518,56 @@ BfsRun bfs_levels(const LevelSpace& space, const SearchOptions& options,
 
     // Exact-duplicate merge, keeping the first (minimal (parent,
     // matching)) copy of each state.
-    phase.emplace("search", "dedup");
     std::vector<std::uint32_t> kept;
-    kept.reserve(level.size());
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      auto& bucket = buckets[level[k].hash.first];
-      bool duplicate = false;
-      for (std::uint32_t prior : bucket) {
-        if (level[prior].hash.second == level[k].hash.second &&
-            level[prior].state == level[k].state) {
-          duplicate = true;
-          break;
+    {
+      SB_OBS_SPAN("search", "dedup");
+      kept.reserve(level.size());
+      std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+      for (std::size_t k = 0; k < level.size(); ++k) {
+        auto& bucket = buckets[level[k].hash.first];
+        bool duplicate = false;
+        for (std::uint32_t prior : bucket) {
+          if (level[prior].hash.second == level[k].hash.second &&
+              level[prior].state == level[k].state) {
+            duplicate = true;
+            break;
+          }
         }
+        if (duplicate) {
+          ++stats.dedup_hits;
+          continue;
+        }
+        bucket.push_back(std::uint32_t(k));
+        kept.push_back(std::uint32_t(k));
       }
-      if (duplicate) {
-        ++stats.dedup_hits;
-        continue;
-      }
-      bucket.push_back(std::uint32_t(k));
-      kept.push_back(std::uint32_t(k));
+
+      // Smallest (most sorted) states first; generation order tie-break.
+      std::stable_sort(kept.begin(), kept.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return level[a].count < level[b].count;
+                       });
+      // Beam mode: bound the subsumption pass's input.
+      if (beam_width != 0 && kept.size() > beam_width * 4)
+        kept.resize(beam_width * 4);
     }
-
-    // Smallest (most sorted) states first; generation order tie-break.
-    std::stable_sort(kept.begin(), kept.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return level[a].count < level[b].count;
-                     });
-    // Beam mode: bound the subsumption pass's input.
-    if (beam_width != 0 && kept.size() > beam_width * 4)
-      kept.resize(beam_width * 4);
-
-    phase.emplace("search", "subsume");
-    std::vector<std::uint32_t> survivors =
-        subsume(level, kept, words, options.subsumption_window, options.pool,
-                stats);
-    if (beam_width != 0 && survivors.size() > beam_width)
-      survivors.resize(beam_width);
 
     std::vector<FrontierNode> next;
-    next.reserve(survivors.size());
-    for (std::uint32_t k : survivors) {
-      Candidate& c = level[kept[k]];
-      std::vector<std::uint32_t> history = frontier[c.parent].history;
-      history.push_back(c.matching);
-      next.push_back({std::move(c.state), std::move(history)});
+    {
+      SB_OBS_SPAN("search", "subsume");
+      std::vector<std::uint32_t> survivors =
+          subsume(level, kept, words, options.subsumption_window, options.pool,
+                  stats);
+      if (beam_width != 0 && survivors.size() > beam_width)
+        survivors.resize(beam_width);
+
+      next.reserve(survivors.size());
+      for (std::uint32_t k : survivors) {
+        Candidate& c = level[kept[k]];
+        std::vector<std::uint32_t> history = frontier[c.parent].history;
+        history.push_back(c.matching);
+        next.push_back({std::move(c.state), std::move(history)});
+      }
     }
-    phase.reset();
     frontier = std::move(next);
     depth = next_depth;
     checkpoint_now();

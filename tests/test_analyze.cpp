@@ -115,8 +115,9 @@ void check_network(const std::string& name, const ComparatorNetwork& net,
 
   // Soundness: a Certified verdict is a proof, so the oracle must agree.
   // (Inconclusive says nothing and can never contradict anything.)
-  if (report.verdict == AnalyzeVerdict::Certified)
+  if (report.verdict == AnalyzeVerdict::Certified) {
     EXPECT_TRUE(truth.sorts_all) << "analyzer certified a non-sorter";
+  }
 
   // CertifiedUpToRelabel: output position p always carries the value of
   // rank relabel_ranks[p]. Verify on random tie-heavy integer inputs.

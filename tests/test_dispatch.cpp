@@ -261,8 +261,9 @@ TEST(CompilationArenaTest, ConcurrentMissesCompileOnce) {
           return compile(net);
         });
         const CompiledNetwork* expected = nullptr;
-        if (!table.compare_exchange_strong(expected, view.get()))
+        if (!table.compare_exchange_strong(expected, view.get())) {
           EXPECT_EQ(view.get(), expected);
+        }
       }
     });
   }

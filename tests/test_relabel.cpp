@@ -203,8 +203,9 @@ void expect_same(const SortingReport& got, const SortingReport& want) {
             std::string(sorting_verdict_name(want.verdict)));
   EXPECT_EQ(got.failing_vector, want.failing_vector);
   ASSERT_EQ(got.ranks.has_value(), want.ranks.has_value());
-  if (got.ranks)
+  if (got.ranks) {
     EXPECT_TRUE(std::ranges::equal(got.ranks->image(), want.ranks->image()));
+  }
   EXPECT_EQ(got.vectors_checked, want.vectors_checked);
 }
 

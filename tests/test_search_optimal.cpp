@@ -210,7 +210,9 @@ TEST(SearchOracle, SubsumptionDropIsSoundUnderRandomSuffixes) {
       space.apply_matching(a, space.matchings()[mi], scratch);
       space.apply_matching(b, space.matchings()[mi], scratch);
       ASSERT_TRUE(a.subset_of(b)) << "inclusion broke at suffix level " << d;
-      if (space.accepts(b)) EXPECT_TRUE(space.accepts(a));
+      if (space.accepts(b)) {
+        EXPECT_TRUE(space.accepts(a));
+      }
     }
   }
   EXPECT_GT(pairs_checked, 0);
