@@ -29,6 +29,10 @@
 //   job lines        refute_job_lines_per_s_n4096: one refute request
 //                    line parsed, executed and written back as its result
 //                    line, serially, at n = 4096 (quick runs too).
+//                    refute_hit_lines_per_s_n4096: the same line answered
+//                    from a warm shared ResultCache - network parse, key,
+//                    certificate read, replay through the arena's
+//                    compiled view, and the result line.
 //
 // Nightly CI runs this in full mode, uploads BENCH_E21.json plus the
 // bound-curve table, and jq-compares refuted depths exactly against the
@@ -37,6 +41,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -168,6 +173,56 @@ void job_line_section() {
   std::printf("%8.3fms | %8.3fms | %8.3fms | %12.1f\n", ms(parse_s),
               ms(execute_s), ms(dump_s), 1.0 / per);
   benchutil::metric("refute_job_lines_per_s_n4096", 1.0 / per);
+
+  // The same line again, answered from a warm shared cache by the probe
+  // step: a refute hit is never trusted, so each one re-reads the cached
+  // certificate and replays its witness before the line is written. The
+  // first probe warms the arena's compiled view and is not timed.
+  auto cache = std::make_shared<ResultCache>();
+  {
+    const JobSpec spec = job_from_json_line(line, 1);
+    cache->insert(AnalysisEngine::cache_key(
+                      spec, parse_any_network(spec.network_text)),
+                  AnalysisEngine::execute(spec).payload);
+  }
+  EngineConfig config;
+  config.workers = 1;
+  config.cache = cache;
+  AnalysisEngine engine(config, {});
+  const std::uint64_t hit_reps = benchutil::quick() ? 20 : 100;
+  double hit_parse_s = 0, probe_s = 0, hit_dump_s = 0;
+  for (std::uint64_t r = 0; r <= hit_reps; ++r) {
+    auto t0 = Clock::now();
+    ProbedJob job(job_from_json_line(line, 1));
+    const double parse = seconds_since(t0);
+    t0 = Clock::now();
+    const bool answered = engine.probe(job);
+    const double probe = seconds_since(t0);
+    t0 = Clock::now();
+    const std::string out = job.result ? job.result->to_json_line() : "";
+    const double dump = seconds_since(t0);
+    benchmark::DoNotOptimize(out.data());
+    if (!answered || !job.hit || !job.result->ok)
+      throw std::logic_error("bench_e21: expected a revalidated cache hit");
+    if (r == 0) continue;
+    hit_parse_s += parse;
+    probe_s += probe;
+    hit_dump_s += dump;
+  }
+  engine.finish();
+  const double hit_per =
+      (hit_parse_s + probe_s + hit_dump_s) / static_cast<double>(hit_reps);
+  std::printf("\nthe same line as a warm cache hit (probe = network parse, "
+              "key, certificate read, replay), serial:\n");
+  std::printf("%10s | %10s | %10s | %12s\n", "parse", "probe", "dump",
+              "lines/s");
+  benchutil::rule();
+  const auto hit_ms = [&](double total) {
+    return total / static_cast<double>(hit_reps) * 1e3;
+  };
+  std::printf("%8.3fms | %8.3fms | %8.3fms | %12.1f\n", hit_ms(hit_parse_s),
+              hit_ms(probe_s), hit_ms(hit_dump_s), 1.0 / hit_per);
+  benchutil::metric("refute_hit_lines_per_s_n4096", 1.0 / hit_per);
 }
 
 // ------------------------------------------------- parallel speedup --

@@ -279,9 +279,8 @@ std::string to_chunked_text(const Certificate& cert, std::size_t chunk_bytes) {
   return out.str();
 }
 
-std::string certificate_text(const Certificate& cert, bool force_chunked) {
-  return force_chunked || cert.n >= 512 ? to_chunked_text(cert)
-                                        : to_text(cert);
+std::string certificate_text(const Certificate& cert) {
+  return cert.n >= 512 ? to_chunked_text(cert) : to_text(cert);
 }
 
 bool is_chunked_certificate_text(const std::string& text) {

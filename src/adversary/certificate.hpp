@@ -73,10 +73,9 @@ std::string to_text(const Certificate& cert);
 std::string to_chunked_text(const Certificate& cert,
                             std::size_t chunk_bytes = 3072);
 
-/// The one choice of writer: v2 chunked text when forced or for n >= 512
-/// (~2x smaller there, CRC per chunk), v1 flat text otherwise.
-std::string certificate_text(const Certificate& cert,
-                             bool force_chunked = false);
+/// The one choice of writer, by width alone: v2 chunked text for n >= 512
+/// (~2x smaller there, CRC per chunk), v1 flat text below.
+std::string certificate_text(const Certificate& cert);
 
 /// Does the text carry the v2 chunked header?
 bool is_chunked_certificate_text(const std::string& text);

@@ -130,9 +130,13 @@ WitnessCheck check_witness(const IteratedRdn& net, const Witness& w) {
 WitnessReplay replay_witness(const CompiledNetwork& net, const Witness& w) {
   SB_OBS_SPAN("refuter", "witness_check");
   SB_OBS_COUNT("refuter.witness_checks", 1);
+  WitnessReplay replay;
+  // The kernel indexes its buffers by the network's slots: a witness of
+  // another width refutes nothing and is never run.
+  if (w.pi.size() != net.width() || w.pi_prime.size() != net.width())
+    return replay;
   PairComparisonRecorder rec_pi(w.m, w.m + 1);
   PairComparisonRecorder rec_prime(w.m, w.m + 1);
-  WitnessReplay replay;
   replay.output_pi.assign(w.pi.image().begin(), w.pi.image().end());
   replay.output_pi_prime.assign(w.pi_prime.image().begin(),
                                 w.pi_prime.image().end());

@@ -77,6 +77,8 @@ struct WitnessReplay {
 /// pairs that meet at comparators, so the recorder sees the same
 /// comparisons and the replay reaches the same refutation verdict. Lets a
 /// caller amortize one compile() across many witnesses of the same net.
+/// A witness whose pi or pi' is not of the network's width is not run:
+/// its check refutes nothing and its outputs are empty.
 WitnessReplay replay_witness(const CompiledNetwork& net, const Witness& w);
 
 /// replay_witness's verdict alone.

@@ -15,7 +15,10 @@
 namespace shufflebound {
 namespace {
 
-constexpr char kLogMagic[8] = {'S', 'B', 'D', 'C', 'L', 'O', 'G', '1'};
+// The log's format version. A log under another magic - version 1's
+// refute records still carry `witness` and `survivors` - is dropped whole,
+// so every payload served matches what the engine writes today.
+constexpr char kLogMagic[8] = {'S', 'B', 'D', 'C', 'L', 'O', 'G', '2'};
 constexpr char kIndexMagic[8] = {'S', 'B', 'D', 'C', 'I', 'D', 'X', '1'};
 constexpr std::uint32_t kRecordMagic = 0x53424331u;  // "SBC1"
 

@@ -6,7 +6,9 @@
 //
 // On-disk layout (two files inside the configured directory):
 //
-//   cache.log   append-only record log. 8-byte file magic, then records:
+//   cache.log   append-only record log. 8-byte file magic (`SBDCLOG2`,
+//               the format version; a log under any other magic is
+//               discarded whole on open), then records:
 //
 //                 u32  record magic
 //                 u32  payload length

@@ -62,15 +62,16 @@ Fingerprint model_fingerprint(const ParsedNetwork& net) {
   return net.visit([](const auto& model) { return fingerprint(model); });
 }
 
-ArenaKey arena_key_of(const ParsedNetwork& net, std::uint64_t salt) {
-  const Fingerprint fp = model_fingerprint(net);
+ArenaKey arena_key_of(const Fingerprint& fp, std::uint64_t salt) {
   return ArenaKey{fp.hi, fp.lo}.derived(salt);
 }
 
-/// The raw parse compiled once per network through the plain-salt slot.
+/// The raw parse compiled once per network through the plain-salt slot;
+/// `fp` is the network's fingerprint.
 std::shared_ptr<const CompiledNetwork> plain_compiled(const ParsedNetwork& net,
+                                                      const Fingerprint& fp,
                                                       CompilationArena& arena) {
-  return arena.get_or_compile(arena_key_of(net, kArenaSaltPlain), [&net] {
+  return arena.get_or_compile(arena_key_of(fp, kArenaSaltPlain), [&net] {
     return net.visit([](const auto& model) { return compile(model); });
   });
 }
@@ -133,13 +134,13 @@ std::string hex_u128(std::pair<std::uint64_t, std::uint64_t> value) {
 
 // -------------------------------------------------------- count-sorted --
 
-JsonValue count_sorted_payload(const ParsedNetwork& net, const JobSpec& spec,
-                               Clock::time_point deadline,
+JsonValue count_sorted_payload(const ParsedNetwork& net, const Fingerprint& fp,
+                               const JobSpec& spec, Clock::time_point deadline,
                                CompilationArena& arena) {
   // One compile amortized over every trial AND over every job on the
   // same network (the arena view); apply() reuses the buffers.
   const std::shared_ptr<const CompiledNetwork> view =
-      plain_compiled(net, arena);
+      plain_compiled(net, fp, arena);
   const CompiledNetwork& compiled = *view;
   std::vector<wire_t> values;
   std::vector<wire_t> scratch;
@@ -168,16 +169,6 @@ JsonValue count_sorted_payload(const ParsedNetwork& net, const JobSpec& spec,
 }
 
 // -------------------------------------------------------------- refute --
-
-JsonValue witness_to_json(const Witness& w) {
-  JsonValue out = JsonValue::object();
-  out.set("pi", wires_to_json(w.pi.image()));
-  out.set("pi_prime", wires_to_json(w.pi_prime.image()));
-  out.set("w0", w.w0);
-  out.set("w1", w.w1);
-  out.set("m", w.m);
-  return out;
-}
 
 /// Rejects an explicit `k` whose Lemma 4.1 set budget on this network
 /// exceeds kMaxRefuteSetBudget (k is bounded first, so k^3 cannot wrap).
@@ -216,62 +207,35 @@ JsonValue refute_payload(const ParsedNetwork& net, const JobSpec& spec,
   }
   payload.set("detail", result.detail);
   if (result.status == RefutationStatus::Refuted) {
-    const Certificate& cert = *result.certificate;
-    payload.set("witness", witness_to_json(cert.witness));
     // The colliding outputs: the network maps pi and pi' to outputs that
     // differ exactly where m and m+1 sit, so at least one is unsorted.
     // They come from the refuter's own self-verifying replay, in the
-    // model's output order.
+    // model's output order. The certificate is the one copy of the
+    // witness pair.
     payload.set("output_pi", wires_to_json(result.output_pi));
     payload.set("output_pi_prime", wires_to_json(result.output_pi_prime));
-    payload.set("survivors", wires_to_json(cert.survivors));
-    payload.set("certificate", certificate_text(cert));
+    payload.set("certificate", certificate_text(*result.certificate));
   }
   return payload;
 }
 
-/// Rebuilds the witness from a cached refutation payload and replays it
-/// through the freshly parsed network. Anything malformed fails closed.
-bool revalidate_refutation(const ParsedNetwork& net, const JsonValue& payload,
-                           CompilationArena& arena) {
+/// Rebuilds the witness from a cached refutation's certificate and
+/// replays it through the freshly parsed network, whose fingerprint is
+/// `fp`. The certificate parser is fail-closed in either format, and
+/// anything else malformed fails closed too.
+bool revalidate_refutation(const ParsedNetwork& net, const Fingerprint& fp,
+                           const JsonValue& payload, CompilationArena& arena) {
   const JsonValue* status = payload.find("status");
   if (status == nullptr || !status->is_string()) return false;
   if (status->as_string() != "refuted") return true;  // nothing to replay
+  const JsonValue* cert_text = payload.find("certificate");
+  if (cert_text == nullptr || !cert_text->is_string()) return false;
   try {
-    Witness w;
-    const JsonValue* witness = payload.find("witness");
-    if (witness != nullptr && witness->is_object()) {
-      const auto perm_of = [&](const char* key) {
-        const JsonValue* arr = witness->find(key);
-        if (arr == nullptr || !arr->is_array())
-          throw std::invalid_argument("missing witness permutation");
-        std::vector<wire_t> image;
-        image.reserve(arr->items().size());
-        for (const JsonValue& v : arr->items())
-          image.push_back(static_cast<wire_t>(v.as_uint()));
-        return Permutation(std::move(image));
-      };
-      w.pi = perm_of("pi");
-      w.pi_prime = perm_of("pi_prime");
-      const JsonValue* w0 = witness->find("w0");
-      const JsonValue* w1 = witness->find("w1");
-      const JsonValue* m = witness->find("m");
-      if (w0 == nullptr || w1 == nullptr || m == nullptr) return false;
-      w.w0 = static_cast<wire_t>(w0->as_uint());
-      w.w1 = static_cast<wire_t>(w1->as_uint());
-      w.m = static_cast<wire_t>(m->as_uint());
-    } else {
-      // No witness JSON (older or trimmed cache entries): fall back to
-      // the certificate text itself, whose parser is fail-closed in
-      // either format.
-      const JsonValue* cert_text = payload.find("certificate");
-      if (cert_text == nullptr || !cert_text->is_string()) return false;
-      w = certificate_from_text(cert_text->as_string()).witness;
-    }
+    const Witness w = certificate_from_text(cert_text->as_string()).witness;
     // Replay on the compiled kernel - the evaluator actually serving
     // this engine's certify/count paths. Revalidation compiles the raw
     // parse, so it shares the plain-salt arena slot with count-sorted.
-    return check_witness(*plain_compiled(net, arena), w).refutes_sorting();
+    return check_witness(*plain_compiled(net, fp, arena), w).refutes_sorting();
   } catch (const std::exception&) {
     return false;
   }
@@ -342,7 +306,7 @@ void lookup_step(ProbedJob& job, CompilationArena& arena, CacheTier& tier) {
     // through the freshly parsed network before it is served.
     if (hit && job.spec.kind == JobKind::Refute) {
       tier.replays.add(1);
-      if (!revalidate_refutation(*job.net, *hit, arena)) {
+      if (!revalidate_refutation(*job.net, key.network, *hit, arena)) {
         tier.replay_failures.add(1);
         tier.cache.invalidate(key);
         hit.reset();
@@ -398,6 +362,12 @@ void execute_step(ProbedJob& job, Clock::time_point deadline,
                   CompilationArena& arena, ResultCache* cache) {
   const JobSpec& spec = job.spec;
   const std::optional<ParsedNetwork>& net = job.net;
+  // The arena keys derive from the network's fingerprint: the probed
+  // key's when there is one, else hashed here, once, by the kinds that
+  // compile.
+  const auto network_fp = [&job] {
+    return job.key ? job.key->network : model_fingerprint(*job.net);
+  };
   JobResult& result = begin_result(job);
   try {
     SB_OBS_SPAN("service", "execute");
@@ -411,13 +381,14 @@ void execute_step(ProbedJob& job, Clock::time_point deadline,
         // count-sorted; circuit certification compiles the eliminated
         // form and keys under the certify salt.
         if (const auto* reg = std::get_if<RegisterNetwork>(&net->model)) {
-          result.payload = certify_payload(
-              *reg, deadline, arena, arena_key_of(*net, kArenaSaltPlain));
+          result.payload =
+              certify_payload(*reg, deadline, arena,
+                              arena_key_of(network_fp(), kArenaSaltPlain));
         } else {
+          const ArenaKey key = arena_key_of(network_fp(), kArenaSaltCertify);
           result.payload =
               net->visit_circuit([&](const ComparatorNetwork& circuit) {
-                return certify_payload(circuit, deadline, arena,
-                                       arena_key_of(*net, kArenaSaltCertify));
+                return certify_payload(circuit, deadline, arena, key);
               });
         }
         break;
@@ -425,7 +396,8 @@ void execute_step(ProbedJob& job, Clock::time_point deadline,
         result.payload = refute_payload(*net, spec, deadline);
         break;
       case JobKind::CountSorted:
-        result.payload = count_sorted_payload(*net, spec, deadline, arena);
+        result.payload =
+            count_sorted_payload(*net, network_fp(), spec, deadline, arena);
         break;
       case JobKind::Analyze:
         // Static order-relation analysis of the circuit form: pure

@@ -48,6 +48,21 @@ std::string refutable_shuffle_text() {
   return to_text(random_shuffle_network(32, 8, rng));
 }
 
+/// `payload` with the certificate of another refuted network of the same
+/// width in place of its own: it parses, but its witness pair meets at a
+/// comparator of refutable_shuffle_text's network, so the replay there
+/// rejects it.
+JsonValue with_foreign_certificate(JsonValue payload) {
+  Prng rng(10);
+  JobSpec spec;
+  spec.kind = JobKind::Refute;
+  spec.network_text = to_text(random_shuffle_network(32, 8, rng));
+  const JobResult foreign = AnalysisEngine::execute(spec);
+  EXPECT_EQ(foreign.payload.find("status")->as_string(), "refuted");
+  payload.set("certificate", *foreign.payload.find("certificate"));
+  return payload;
+}
+
 std::string job_line(const char* op, const std::string& network_text,
                      const std::string& id) {
   JsonValue o = JsonValue::object();
@@ -519,11 +534,7 @@ TEST(Server, PoisonedMemoryRefutationIsRevalidatedAndRecomputed) {
 
   // The same poison as the disk-tier test, planted in the memory tier of
   // a server with no disk tier at all.
-  JsonValue poisoned = correct.payload;
-  JsonValue witness = *poisoned.find("witness");
-  witness.set("pi_prime", *witness.find("pi"));
-  witness.set("w1", *witness.find("w0"));
-  poisoned.set("witness", std::move(witness));
+  const JsonValue poisoned = with_foreign_certificate(correct.payload);
 
   ServerConfig config;
   config.workers = 1;
@@ -660,13 +671,9 @@ TEST(Server, PoisonedDiskRefutationIsRevalidatedAndRecomputed) {
   ASSERT_TRUE(correct.ok);
   ASSERT_EQ(correct.payload.find("status")->as_string(), "refuted");
 
-  // Poison the cached payload: make the witness pair identical, so the
-  // replayed runs agree and the refutation cannot possibly stand.
-  JsonValue poisoned = correct.payload;
-  JsonValue witness = *poisoned.find("witness");
-  witness.set("pi_prime", *witness.find("pi"));
-  witness.set("w1", *witness.find("w0"));
-  poisoned.set("witness", std::move(witness));
+  // Poison the cached payload: another network's certificate parses, but
+  // its refutation does not stand on this network.
+  const JsonValue poisoned = with_foreign_certificate(correct.payload);
 
   const CacheKey key =
       AnalysisEngine::cache_key(spec, parse_any_network(network));

@@ -301,6 +301,27 @@ TEST_F(DiskCacheTest, ForeignLogFileIsDiscardedNotFatal) {
   ASSERT_TRUE(cache.lookup(key(1)).has_value());
 }
 
+TEST_F(DiskCacheTest, VersionOneLogIsDiscardedNotServed) {
+  // A log written under the previous format version (magic SBDCLOG1, whose
+  // refute records still carried `witness` and `survivors`) must not be
+  // served after a restart: cached payloads match fresh ones byte for byte.
+  {
+    DiskBackedCache cache(config());
+    cache.insert(key(1), payload("a"));
+    cache.save_index();
+  }
+  {
+    std::fstream log(dir_ + "/cache.log",
+                     std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(log.is_open());
+    log.write("SBDCLOG1", 8);
+  }
+  DiskBackedCache reopened(config());  // must not throw
+  EXPECT_EQ(reopened.tier_stats().entries, 0u);
+  EXPECT_GE(reopened.tier_stats().dropped_records, 1u);
+  EXPECT_FALSE(reopened.lookup(key(1)).has_value());
+}
+
 TEST_F(DiskCacheTest, LruEvictsColdestFirst) {
   // ~60 bytes per record; cap to roughly three records.
   DiskBackedCache cache(config(/*max_bytes=*/200));

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "adversary/certificate.hpp"
 #include "analysis/sortedness.hpp"
 #include "core/io.hpp"
 #include "networks/batcher.hpp"
@@ -40,6 +41,25 @@ std::string broken16_text() {
 
 std::string shallow_shuffle_text() {
   Prng rng(7);
+  return to_text(random_shuffle_network(32, 8, rng));
+}
+
+/// The certificate the engine writes for `network_text`, which must be
+/// refuted.
+std::string certificate_of(const std::string& network_text) {
+  JobSpec spec;
+  spec.kind = JobKind::Refute;
+  spec.network_text = network_text;
+  const JobResult result = AnalysisEngine::execute(spec);
+  EXPECT_EQ(result.payload.find("status")->as_string(), "refuted");
+  return result.payload.find("certificate")->as_string();
+}
+
+/// A refuted shuffle network of shallow_shuffle_text's width whose
+/// witness pair meets at a comparator of that network, so its
+/// certificate parses but does not replay there.
+std::string foreign_shuffle_text() {
+  Prng rng(10);
   return to_text(random_shuffle_network(32, 8, rng));
 }
 
@@ -314,46 +334,61 @@ TEST(ServiceEngine, ExecuteCertifySorterAndNonSorter) {
 }
 
 TEST(ServiceEngine, ExecuteRefuteReturnsCheckableWitness) {
-  const JobResult result = AnalysisEngine::execute(
-      make_spec(JobKind::Refute, shallow_shuffle_text()));
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.payload.find("status")->as_string(), "refuted");
+  // n = 32 writes the flat v1 certificate, n = 1024 the chunked v2 one.
+  Prng rng32(7);
+  Prng rng1024(5);
+  const RegisterNetwork networks[] = {
+      random_shuffle_network(32, 8, rng32),
+      random_shuffle_network(1024, 20, rng1024, {10, 5})};
+  for (const RegisterNetwork& net : networks) {
+    SCOPED_TRACE("n = " + std::to_string(net.width()));
+    const JobResult result =
+        AnalysisEngine::execute(make_spec(JobKind::Refute, to_text(net)));
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.payload.find("status")->as_string(), "refuted");
 
-  const JsonValue* witness = result.payload.find("witness");
-  ASSERT_NE(witness, nullptr);
-  ASSERT_NE(witness->find("pi"), nullptr);
-  ASSERT_NE(witness->find("pi_prime"), nullptr);
-  EXPECT_NE(*witness->find("pi"), *witness->find("pi_prime"));
+    // The certificate is the only copy of the witness.
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : result.payload.members())
+      keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"status", "detail", "output_pi",
+                                              "output_pi_prime",
+                                              "certificate"}));
+    const JsonValue* text = result.payload.find("certificate");
+    ASSERT_NE(text, nullptr);
+    EXPECT_EQ(is_chunked_certificate_text(text->as_string()),
+              net.width() >= 512);
+    const Certificate cert = certificate_from_text(text->as_string());
+    EXPECT_EQ(cert.n, net.width());
+    EXPECT_NE(cert.witness.pi, cert.witness.pi_prime);
+    EXPECT_TRUE(verify_certificate(net, cert).accepted());
 
-  // Corollary 4.1.1: the outputs for pi and pi' differ exactly where the
-  // values m and m+1 landed, so the network cannot sort both inputs.
-  const JsonValue* out_pi = result.payload.find("output_pi");
-  const JsonValue* out_pp = result.payload.find("output_pi_prime");
-  ASSERT_NE(out_pi, nullptr);
-  ASSERT_NE(out_pp, nullptr);
-  const auto vec_of = [](const JsonValue& arr) {
-    std::vector<wire_t> v;
-    for (const JsonValue& x : arr.items())
-      v.push_back(static_cast<wire_t>(x.as_uint()));
-    return v;
-  };
-  const std::vector<wire_t> a = vec_of(*out_pi);
-  const std::vector<wire_t> b = vec_of(*out_pp);
-  ASSERT_EQ(a.size(), b.size());
-  const auto m = static_cast<wire_t>(witness->find("m")->as_uint());
-  std::size_t diffs = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) continue;
-    ++diffs;
-    EXPECT_TRUE((a[i] == m && b[i] == m + 1) || (a[i] == m + 1 && b[i] == m));
+    // Corollary 4.1.1: the outputs for pi and pi' differ exactly where the
+    // values m and m+1 landed, so the network cannot sort both inputs.
+    const JsonValue* out_pi = result.payload.find("output_pi");
+    const JsonValue* out_pp = result.payload.find("output_pi_prime");
+    ASSERT_NE(out_pi, nullptr);
+    ASSERT_NE(out_pp, nullptr);
+    const auto vec_of = [](const JsonValue& arr) {
+      std::vector<wire_t> v;
+      for (const JsonValue& x : arr.items())
+        v.push_back(static_cast<wire_t>(x.as_uint()));
+      return v;
+    };
+    const std::vector<wire_t> a = vec_of(*out_pi);
+    const std::vector<wire_t> b = vec_of(*out_pp);
+    ASSERT_EQ(a.size(), b.size());
+    const wire_t m = cert.witness.m;
+    std::size_t diffs = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i] == b[i]) continue;
+      ++diffs;
+      EXPECT_TRUE((a[i] == m && b[i] == m + 1) ||
+                  (a[i] == m + 1 && b[i] == m));
+    }
+    EXPECT_EQ(diffs, 2u);
+    EXPECT_TRUE(!is_sorted_output(a) || !is_sorted_output(b));
   }
-  EXPECT_EQ(diffs, 2u);
-  EXPECT_TRUE(!is_sorted_output(a) || !is_sorted_output(b));
-
-  const JsonValue* certificate = result.payload.find("certificate");
-  ASSERT_NE(certificate, nullptr);
-  EXPECT_NE(certificate->as_string().find("nonsorting-certificate"),
-            std::string::npos);
 }
 
 TEST(ServiceEngine, ExecuteCountSortedMatchesBatchEvaluator) {
@@ -607,37 +642,59 @@ TEST(ServiceEngine, DuplicateJobsHitTheCache) {
   EXPECT_GE(telemetry_uint(run.telemetry, {"cache", "hits"}), 5u);
 }
 
-TEST(ServiceEngine, PoisonedCachedRefutationIsRevalidatedAndRecomputed) {
-  const std::string shallow = shallow_shuffle_text();
-  const std::vector<std::string> lines = {job_line("refute", shallow, "r")};
+/// Runs one refute job over `network_text` through an engine whose shared
+/// cache holds the honest payload with `certificate` in place of its own,
+/// and checks that the replay rejects it and the job is recomputed.
+void expect_planted_certificate_recomputed(const std::string& network_text,
+                                           const std::string& certificate) {
+  const std::vector<std::string> lines = {
+      job_line("refute", network_text, "r")};
 
   // What the honest engine says.
   const auto honest = run_batch(lines, EngineConfig{}).lines;
 
-  // Poison a shared cache: a "refuted" payload with no witness to replay.
   auto cache = std::make_shared<ResultCache>();
   JobSpec spec = job_from_json_line(lines[0], 1);
   const CacheKey key =
-      AnalysisEngine::cache_key(spec, parse_any_network(shallow));
-  JsonValue bogus = JsonValue::object();
-  bogus.set("status", "refuted");
-  cache->insert(key, bogus);
+      AnalysisEngine::cache_key(spec, parse_any_network(network_text));
+  JsonValue planted = AnalysisEngine::execute(spec).payload;
+  planted.set("certificate", certificate);
+  cache->insert(key, planted);
 
   EngineConfig config;
   config.cache = cache;
   const BatchRun run = run_batch(lines, config);
 
-  // The poisoned entry fails re-validation, is invalidated, and the job is
+  // The planted entry fails re-validation, is invalidated, and the job is
   // recomputed - so the output still matches the honest run byte for byte.
   EXPECT_EQ(run.lines, honest);
   EXPECT_EQ(telemetry_uint(run.telemetry, {"witness_revalidations"}), 1u);
   EXPECT_EQ(telemetry_uint(run.telemetry, {"witness_revalidation_failures"}),
             1u);
   EXPECT_GE(telemetry_uint(run.telemetry, {"cache", "invalidations"}), 1u);
-  // The recomputed (valid) payload replaced the poisoned one.
+  // The recomputed (valid) payload replaced the planted one.
   const auto entry = cache->lookup(key);
   ASSERT_TRUE(entry.has_value());
-  ASSERT_NE(entry->find("witness"), nullptr);
+  ASSERT_NE(entry->find("certificate"), nullptr);
+  EXPECT_EQ(entry->find("certificate")->as_string(),
+            certificate_of(network_text));
+  EXPECT_EQ(entry->find("witness"), nullptr);
+}
+
+TEST(ServiceEngine, PoisonedCachedRefutationIsRevalidatedAndRecomputed) {
+  // A certificate of another network of the same width: it parses, and
+  // the replay through this network rejects it.
+  expect_planted_certificate_recomputed(
+      shallow_shuffle_text(), certificate_of(foreign_shuffle_text()));
+}
+
+TEST(ServiceEngine, NarrowerCachedCertificateIsRecomputed) {
+  // A width-8 certificate for a width-32 network: the replay must not run
+  // its 8-entry permutations through 32 slots.
+  Prng rng(1);
+  const std::string narrow = to_text(random_shuffle_network(8, 2, rng));
+  expect_planted_certificate_recomputed(shallow_shuffle_text(),
+                                        certificate_of(narrow));
 }
 
 TEST(ServiceEngine, SharedCacheWarmsASecondEngine) {

@@ -81,20 +81,23 @@ std::vector<std::string> job_stream() {
           "not json"};
 }
 
-/// Replaces the cached refutation with one whose witness pair is
-/// identical, so its replay must fail and the job is recomputed.
+/// Replaces the cached refutation with one carrying the certificate of
+/// another refuted network of the same width. It parses, but its witness
+/// pair meets at a comparator of refutable_text's network, so the replay
+/// fails and the job is recomputed.
 void poison_refutation(ResultCache& cache) {
   JobSpec spec;
   spec.id = "refute";
   spec.kind = JobKind::Refute;
+  Prng rng(10);
+  spec.network_text = to_text(random_shuffle_network(32, 8, rng));
+  const JobResult foreign = AnalysisEngine::execute(spec);
+  ASSERT_EQ(foreign.payload.find("status")->as_string(), "refuted");
   spec.network_text = refutable_text();
   const JobResult correct = AnalysisEngine::execute(spec);
   ASSERT_EQ(correct.payload.find("status")->as_string(), "refuted");
   JsonValue poisoned = correct.payload;
-  JsonValue witness = *poisoned.find("witness");
-  witness.set("pi_prime", *witness.find("pi"));
-  witness.set("w1", *witness.find("w0"));
-  poisoned.set("witness", std::move(witness));
+  poisoned.set("certificate", *foreign.payload.find("certificate"));
   cache.insert(AnalysisEngine::cache_key(spec, parse_any_network(spec.network_text)),
                poisoned);
 }

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "adversary/naive.hpp"
+#include "adversary/refuter.hpp"
 #include "networks/batcher.hpp"
 #include "networks/shuffle.hpp"
 #include "pattern/collision.hpp"
+#include "sim/compiled_net.hpp"
 #include "util/bits.hpp"
 #include "util/prng.hpp"
 
@@ -166,6 +168,22 @@ TEST(Witness, OutputsActuallyDifferOnWitnessPair) {
   for (wire_t i = 0; i < 16; ++i)
     if (out1[i] != out2[i]) ++diffs;
   EXPECT_EQ(diffs, 2);
+}
+
+TEST(Witness, ReplaySkipsWitnessOfAnotherWidth) {
+  // The compiled kernel indexes its buffers by the network's slots, so a
+  // witness narrower than the network is rejected without a run.
+  Prng rng(1);
+  const RegisterNetwork narrow = random_shuffle_network(8, 2, rng);
+  const RefutationResult refuted = refute(narrow);
+  ASSERT_TRUE(refuted.certificate.has_value());
+  const Witness& w = refuted.certificate->witness;
+  ASSERT_TRUE(check_witness(compile(narrow), w).refutes_sorting());
+  const WitnessReplay replay =
+      replay_witness(compile(random_shuffle_network(32, 8, rng)), w);
+  EXPECT_FALSE(replay.check.refutes_sorting());
+  EXPECT_TRUE(replay.output_pi.empty());
+  EXPECT_TRUE(replay.output_pi_prime.empty());
 }
 
 TEST(NaiveAdversary, SurvivesOneLevelPerHalving) {

@@ -15,10 +15,9 @@
 //   analyze <file> [--json]           static order-relation analysis:
 //                                     verdict, trivial comparators, dead
 //                                     levels, fingerprints (docs/analyze.md)
-//   refute <file> [--chunked]         run the paper's adversary; on success
+//   refute <file>                     run the paper's adversary; on success
 //                                     print a nonsorting-certificate (the
-//                                     chunked v2 stream for n >= 512 or
-//                                     with --chunked)
+//                                     chunked v2 stream for n >= 512)
 //   sweep [--family f] [--lg-min a] [--lg-max b] [--max-depth d] [--seed s]
 //         [--witnesses w] [--serial] [--workers n] [--json]
 //                                     empirical bound curve: deepest
@@ -377,30 +376,17 @@ int cmd_analyze(int argc, char** argv) {
 }
 
 int cmd_refute(int argc, char** argv) {
-  std::string path;
-  bool chunked = false;
-  bool usage_error = false;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--chunked") {
-      chunked = true;
-    } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
-      path = arg;
-    } else {
-      usage_error = true;
-    }
-  }
-  if (usage_error || path.empty()) {
-    std::fprintf(stderr, "usage: refute <file> [--chunked]\n");
+  const std::string path = argc == 1 ? argv[0] : "";
+  if (path.empty() || path[0] == '-') {
+    std::fprintf(stderr, "usage: refute <file>\n");
     return 2;
   }
   const RefutationResult result = load_network(path).visit(
       [](const auto& net) { return refute(net); });
   switch (result.status) {
     case RefutationStatus::Refuted:
-      // --chunked forces the v2 stream; verify accepts both.
-      std::fputs(certificate_text(*result.certificate, chunked).c_str(),
-                 stdout);
+      // The width picks v1 or v2; verify accepts both.
+      std::fputs(certificate_text(*result.certificate).c_str(), stdout);
       std::fprintf(stderr, "# %s\n", result.detail.c_str());
       return 0;
     case RefutationStatus::TooFewSurvivors:
